@@ -71,11 +71,7 @@ void LadderCache::prewarm(const web::WebPage& page, const obs::RequestContext& c
                 ladder.adopt(*memo);
               }
             }
-            ladder.webp_full(ctx);
-            ladder.resolution_family(ladder.asset().format, ctx);
-            ladder.resolution_family(imaging::ImageFormat::kWebp, ctx);
-            ladder.quality_family(ladder.asset().format, ctx);
-            ladder.quality_family(imaging::ImageFormat::kWebp, ctx);
+            ladder.warm(ctx);
           } catch (const Error&) {
             // Best-effort: a failed family (codec fault, expired deadline)
             // memoizes nothing, and the serial solver path re-attempts it

@@ -67,12 +67,13 @@ class LadderCache {
       const obs::RequestContext& ctx = obs::RequestContext::none());
 
   /// Enumerates every rich image's variant families (both formats' resolution
-  /// and quality ladders plus the WebP transcode) across ctx.workers()
-  /// threads, so the serial solvers that follow hit a fully memoized cache.
+  /// and quality ladders plus the WebP transcode, via VariantLadder::warm())
+  /// across ctx.workers() threads, so the serial solvers that follow hit a
+  /// fully memoized cache.
   /// Safe because each asset's ladder is independent: ladders are *created*
   /// serially up front, then each worker fills exactly one ladder. Enumeration
   /// failures (injected codec faults, an expired ctx deadline) are swallowed —
-  /// nothing is memoized for the failed family, and the serial path
+  /// nothing is memoized for the failed pass, and the serial path
   /// re-attempts it under the pipeline's normal retry/degradation machinery,
   /// so results and error handling are identical to a cold serial run.
   /// Emits a "prewarm" span, plus the workers' encode/ssim spans (the trace

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "imaging/ans_simd.h"
 #include "util/error.h"
@@ -116,15 +117,21 @@ std::vector<std::uint32_t> normalize_counts(const std::vector<std::uint64_t>& co
   return freqs;
 }
 
-FreqTable table_from_folded(const std::vector<std::uint16_t>& symbols,
-                            const std::vector<std::uint64_t>& counts) {
+/// A sweep candidate: normalized symbols/freqs plus the entry_of index that
+/// table_stream_bits() prices through — everything the cost needs. The
+/// 4096-slot decode table and the encoder reciprocals are left unbuilt;
+/// build_table() finalizes only the winning candidate.
+FreqTable candidate_from_folded(std::vector<std::uint16_t> symbols,
+                                const std::vector<std::uint64_t>& counts) {
   const std::vector<std::uint32_t> freqs = normalize_counts(counts);
   FreqTable t;
-  t.symbols = symbols;
+  t.symbols = std::move(symbols);
   t.freqs.resize(freqs.size());
-  for (std::size_t i = 0; i < freqs.size(); ++i)
+  t.entry_of.assign(kEscapeSymbol + 1, 0);
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
     t.freqs[i] = static_cast<std::uint16_t>(freqs[i]);
-  t.finalize();
+    t.entry_of[t.symbols[i]] = static_cast<std::uint16_t>(i + 1);
+  }
   return t;
 }
 
@@ -259,7 +266,7 @@ FreqTable build_table(const std::uint64_t* counts, int n_symbols) {
       symbols.push_back(static_cast<std::uint16_t>(kEscapeSymbol));
       kept.push_back(escaped);
     }
-    FreqTable t = table_from_folded(symbols, kept);
+    FreqTable t = candidate_from_folded(std::move(symbols), kept);
     const double cost =
         table_stream_bits(t, counts, n_symbols) + 8.0 * serialized_table_bytes(t);
     if (best_cost < 0 || cost < best_cost) {
@@ -268,6 +275,7 @@ FreqTable build_table(const std::uint64_t* counts, int n_symbols) {
     }
   }
   AW4A_EXPECTS(best_cost >= 0);  // threshold 0 always yields a table
+  best.finalize();
   return best;
 }
 

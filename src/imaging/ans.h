@@ -121,7 +121,9 @@ struct FreqTable {
 /// small fixed set and the choice minimizing measured total cost — rANS
 /// stream bits + escape literal bits + serialized table bytes — wins. The
 /// sweep is a deterministic function of `counts` alone, so encoder and
-/// decoder need no shared rule: the decoder just reads the table.
+/// decoder need no shared rule: the decoder just reads the table. Each
+/// candidate is priced from symbols/freqs/entry_of alone; only the winner is
+/// finalize()d, so the sweep builds one 4096-slot decode table, not five.
 FreqTable build_table(const std::uint64_t* counts, int n_symbols);
 
 /// Measured cost in bits of coding `counts` with `table` (cross-entropy

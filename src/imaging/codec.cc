@@ -557,7 +557,8 @@ RansPayload build_rans_payload(const DecodedLossy& lv) {
 
 PreparedLossy prepare_lossy(const Raster& img, const LossyParams& params) {
   AW4A_EXPECTS(!img.empty());
-  const bool keep_alpha = params.alpha && img.has_alpha();
+  const bool opaque = !img.has_alpha();
+  const bool keep_alpha = params.alpha && !opaque;
 
   // RGB -> YCbCr; non-alpha codecs composite over white.
   const int w = img.width();
@@ -588,6 +589,7 @@ PreparedLossy prepare_lossy(const Raster& img, const LossyParams& params) {
   PreparedLossy prep;
   prep.width = w;
   prep.height = h;
+  prep.opaque = opaque;
   prep.keep_alpha = keep_alpha;
   prep.luma = forward_dct_plane(ly, -128.0f);
   prep.cb = forward_dct_plane(cb2, -128.0f);
@@ -607,6 +609,9 @@ PreparedLossy prepare_lossy(const Raster& img, const LossyParams& params) {
 Encoded lossy_encode_prepared(const PreparedLossy& prep, int quality,
                               const LossyParams& params) {
   AW4A_EXPECTS(prep.width > 0 && prep.height > 0);
+  // Planes from another lossy codec's prepare are fine exactly when their
+  // alpha handling is the one these params would have chosen.
+  AW4A_EXPECTS(prep.keep_alpha == (params.alpha && !prep.opaque));
   quality = std::clamp(quality, 1, 100);
   const int w = prep.width;
   const int h = prep.height;
@@ -709,6 +714,8 @@ LossyParams lossy_params_for(ImageFormat format) {
 DecodedLossy quantize_levels(const PreparedLossy& prep, int quality,
                              const LossyParams& params) {
   AW4A_EXPECTS(prep.width > 0 && prep.height > 0);
+  // The same planes-vs-params agreement lossy_encode_prepared() checks.
+  AW4A_EXPECTS(prep.keep_alpha == (params.alpha && !prep.opaque));
   quality = std::clamp(quality, 1, 100);
   DecodedLossy out;
   out.format = params.format;

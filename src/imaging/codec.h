@@ -92,7 +92,11 @@ class Codec {
   virtual PreparedPtr prepare(const Raster& img) const;
 
   /// Encodes one quality rung from a prepare() result. Bit-identical to
-  /// encode(img, quality, backend) on the raster prepare() was given.
+  /// encode(img, quality, backend) on the raster prepare() was given. The
+  /// lossy codecs' prepare() of an *opaque* raster is codec-neutral: the
+  /// forward transform depends on the format only through kept alpha, so
+  /// JPEG and WebP (below quality 100, its lossless mode) each accept the
+  /// other's result, bit-identically to their own.
   virtual Encoded encode_prepared(const Prepared& prep, int quality,
                                   EntropyBackend backend = EntropyBackend::kHuffman) const;
 };

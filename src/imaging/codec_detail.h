@@ -56,6 +56,10 @@ struct EntropyCost {
 struct PreparedLossy {
   int width = 0;
   int height = 0;
+  /// The source raster had no pixel with alpha < 255. Such planes are the
+  /// same for every LossyParams (kept alpha is the only format dependence),
+  /// which is what lets one prepare serve both lossy codecs.
+  bool opaque = false;
   bool keep_alpha = false;
   CoeffPlane luma;
   CoeffPlane cb;  ///< subsampled 2x
@@ -65,8 +69,10 @@ struct PreparedLossy {
 };
 
 /// Runs the quality-independent half of lossy_encode(). Only `params.alpha`
-/// affects the result (it selects composite-over-white vs. kept alpha);
-/// the quality-dependent knobs are consumed by lossy_encode_prepared().
+/// affects the result (it selects composite-over-white vs. kept alpha), and
+/// only when the raster has alpha; the quality-dependent knobs are consumed
+/// by lossy_encode_prepared(), which accepts any planes whose kept alpha
+/// matches its own params.
 PreparedLossy prepare_lossy(const Raster& img, const LossyParams& params);
 
 /// The concrete Codec::Prepared of the lossy codecs (jpeg and webp .cc files

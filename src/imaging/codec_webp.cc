@@ -55,7 +55,10 @@ Encoded webp_encode_prepared(const Codec::Prepared& prep, int quality,
                              EntropyBackend backend) {
   const auto* lossy = dynamic_cast<const detail::LossyPreparedImage*>(&prep);
   AW4A_EXPECTS(lossy != nullptr);
-  if (quality >= 100) return webp_lossless_encode(lossy->raster);
+  if (quality >= 100) {
+    AW4A_EXPECTS(!lossy->raster.empty());  // only webp_prepare() keeps pixels
+    return webp_lossless_encode(lossy->raster);
+  }
   AW4A_FAULT_POINT("codec.webp.encode");
   return detail::lossy_encode_prepared(lossy->planes, quality, webp_params(backend));
 }

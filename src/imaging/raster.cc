@@ -50,15 +50,7 @@ void Raster::composite(const Raster& src, int x, int y) {
 PlaneF luma_plane(const Raster& img) {
   PlaneF out(img.width(), img.height());
   const auto& px = img.pixels();
-  for (std::size_t i = 0; i < px.size(); ++i) {
-    const Pixel& p = px[i];
-    // Composite over white by alpha, then BT.601.
-    const float a = static_cast<float>(p.a) / 255.0f;
-    const float r = p.r * a + 255.0f * (1.0f - a);
-    const float g = p.g * a + 255.0f * (1.0f - a);
-    const float b = p.b * a + 255.0f * (1.0f - a);
-    out.v[i] = 0.299f * r + 0.587f * g + 0.114f * b;
-  }
+  for (std::size_t i = 0; i < px.size(); ++i) out.v[i] = luma_of(px[i]);
   return out;
 }
 

@@ -94,8 +94,19 @@ struct PlaneF {
   }
 };
 
-/// BT.601 luma of an RGBA raster, in [0, 255]. Transparent pixels are
-/// composited over white first (what a page background shows through).
+/// BT.601 luma of one pixel, in [0, 255]. Transparent pixels are composited
+/// over white first (what a page background shows through). The single
+/// definition behind luma_plane() and redisplay_luma(), so the two cannot
+/// round differently.
+inline float luma_of(const Pixel& p) {
+  const float a = static_cast<float>(p.a) / 255.0f;
+  const float r = p.r * a + 255.0f * (1.0f - a);
+  const float g = p.g * a + 255.0f * (1.0f - a);
+  const float b = p.b * a + 255.0f * (1.0f - a);
+  return 0.299f * r + 0.587f * g + 0.114f * b;
+}
+
+/// luma_of() over every pixel of an RGBA raster.
 PlaneF luma_plane(const Raster& img);
 
 /// Extracts one channel (0=R,1=G,2=B,3=A) as floats in [0,255].

@@ -20,4 +20,8 @@ Raster reduce_resolution(const Raster& img, double scale);
 /// Upscales `reduced` back to (w, h) bilinearly — the browser's redisplay.
 Raster redisplay(const Raster& reduced, int w, int h);
 
+/// luma_plane(redisplay(reduced, w, h)), bit for bit, without building the
+/// full-size RGBA raster: the SSIM input of a reduced-resolution variant.
+PlaneF redisplay_luma(const Raster& reduced, int w, int h);
+
 }  // namespace aw4a::imaging

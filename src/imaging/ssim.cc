@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/error.h"
@@ -92,7 +93,194 @@ std::size_t window_positions(int dim, int win, int stride) {
   return static_cast<std::size_t>((max_start + stride - 1) / stride) + 1;
 }
 
+/// Window origins along one axis in visit order, clamped tail included —
+/// mirrors ssim_reference's "process, then break once clamped" loop shape.
+std::vector<int> window_origins(int dim, int win, int stride) {
+  const int max_start = dim - win;
+  std::vector<int> out;
+  for (int w = 0;; w += stride) {
+    const int start = std::min(w, max_start);
+    out.push_back(start);
+    if (start >= max_start) break;
+  }
+  return out;
+}
+
+/// The direct path's window grid: every window is (xs[i], ys[j]), visited
+/// row by row (j outer, i inner) — ssim_reference's order, which is also
+/// the order the per-window scores join the total in.
+struct WindowGrid {
+  int win = 0;
+  int stride = 0;
+  std::vector<int> xs, ys;
+
+  WindowGrid(int width, int height, const SsimOptions& opts)
+      : win(std::min({opts.window, width, height})),
+        stride(opts.stride),
+        xs(window_origins(width, win, stride)),
+        ys(window_origins(height, win, stride)) {}
+
+  std::size_t windows() const { return xs.size() * ys.size(); }
+};
+
+/// One window's SSIM from its five raw sums — the reference's formula.
+inline double window_score(double sa, double sb, double saa, double sbb, double sab, double n) {
+  const double mu_a = sa / n;
+  const double mu_b = sb / n;
+  const double var_a = std::max(0.0, saa / n - mu_a * mu_a);
+  const double var_b = std::max(0.0, sbb / n - mu_b * mu_b);
+  const double cov = sab / n - mu_a * mu_b;
+  const double num = (2 * mu_a * mu_b + kC1) * (2 * cov + kC2);
+  const double den = (mu_a * mu_a + mu_b * mu_b + kC1) * (var_a + var_b + kC2);
+  return num / den;
+}
+
+/// Per-window moments of the first plane that a direct-path scorer may take
+/// from a cache instead of re-summing: null when they are summed in-lane.
+struct CachedMoments {
+  const double* sa = nullptr;   ///< Σa per window, visit order
+  const double* saa = nullptr;  ///< Σa² per window, visit order
+};
+
+/// Σa and Σa² of every window of `a`, each summed by the reference's serial
+/// chain (row-major over the window). The sums of `a` never read `b`, so a
+/// scorer that takes them from here instead of accumulating them beside Σb,
+/// Σb², Σab computes the same doubles.
+void window_moments(const PlaneF& a, const WindowGrid& g, std::vector<double>& sa,
+                    std::vector<double>& saa) {
+  sa.clear();
+  saa.clear();
+  sa.reserve(g.windows());
+  saa.reserve(g.windows());
+  for (const int y0 : g.ys) {
+    for (const int x0 : g.xs) {
+      double s = 0;
+      double ss = 0;
+      for (int y = 0; y < g.win; ++y) {
+        const float* ra = &a.v[static_cast<std::size_t>(y0 + y) * a.width + x0];
+        for (int x = 0; x < g.win; ++x) {
+          const double va = ra[x];
+          s += va;
+          ss += va * va;
+        }
+      }
+      sa.push_back(s);
+      saa.push_back(ss);
+    }
+  }
+}
+
+/// One window by the reference loop body, with Σa/Σa² taken from `cached`
+/// (window index `w`) when it is set.
+double score_window_scalar(const PlaneF& a, const PlaneF& b, int x0, int y0, int win,
+                           const CachedMoments& cached, std::size_t w) {
+  double sa = 0;
+  double sb = 0;
+  double saa = 0;
+  double sbb = 0;
+  double sab = 0;
+  for (int y = 0; y < win; ++y) {
+    const float* ra = &a.v[static_cast<std::size_t>(y0 + y) * a.width + x0];
+    const float* rb = &b.v[static_cast<std::size_t>(y0 + y) * b.width + x0];
+    for (int x = 0; x < win; ++x) {
+      const double va = ra[x];
+      const double vb = rb[x];
+      if (cached.sa == nullptr) {
+        sa += va;
+        saa += va * va;
+      }
+      sb += vb;
+      sbb += vb * vb;
+      sab += va * vb;
+    }
+  }
+  if (cached.sa != nullptr) {
+    sa = cached.sa[w];
+    saa = cached.saa[w];
+  }
+  return window_score(sa, sb, saa, sbb, sab, static_cast<double>(win) * win);
+}
+
+/// The portable direct path: every window by score_window_scalar, in visit
+/// order.
+double ssim_direct_scalar(const PlaneF& a, const PlaneF& b, const WindowGrid& g,
+                          const CachedMoments& cached) {
+  double total = 0.0;
+  std::size_t w = 0;
+  for (const int y0 : g.ys) {
+    for (const int x0 : g.xs) total += score_window_scalar(a, b, x0, y0, g.win, cached, w++);
+  }
+  return total / static_cast<double>(w);
+}
+
 #if AW4A_SSIM_DIRECT_SIMD
+/// Four windows' five accumulators, one window per lane. add() is one
+/// (x, y) step of the reference's inner loop for every lane; Σa and Σa² are
+/// skipped when they come from a cache.
+struct WindowLanes {
+  __m256d sa, sb, saa, sbb, sab;
+
+  template <bool kCachedA>
+  __attribute__((target("avx2"), always_inline)) void add(__m128 fa, __m128 fb) {
+    const __m256d va = _mm256_cvtps_pd(fa);
+    const __m256d vb = _mm256_cvtps_pd(fb);
+    if constexpr (!kCachedA) {
+      sa = _mm256_add_pd(sa, va);
+      saa = _mm256_add_pd(saa, _mm256_mul_pd(va, va));
+    }
+    sb = _mm256_add_pd(sb, vb);
+    sbb = _mm256_add_pd(sbb, _mm256_mul_pd(vb, vb));
+    sab = _mm256_add_pd(sab, _mm256_mul_pd(va, vb));
+  }
+
+  /// One window row (x = 0..7 in order) of four windows starting 4 apart at
+  /// ra/rb: the 20 floats they span, as five loads transposed into columns.
+  template <bool kCachedA>
+  __attribute__((target("avx2"), always_inline)) void add_contiguous_row(const float* ra,
+                                                                        const float* rb) {
+    __m128 a0 = _mm_loadu_ps(ra), a1 = _mm_loadu_ps(ra + 4), a2 = _mm_loadu_ps(ra + 8),
+           a3 = _mm_loadu_ps(ra + 12), a4 = _mm_loadu_ps(ra + 16);
+    __m128 b0 = _mm_loadu_ps(rb), b1 = _mm_loadu_ps(rb + 4), b2 = _mm_loadu_ps(rb + 8),
+           b3 = _mm_loadu_ps(rb + 12), b4 = _mm_loadu_ps(rb + 16);
+    __m128 ha0 = a1, ha1 = a2, ha2 = a3, ha3 = a4;
+    __m128 hb0 = b1, hb1 = b2, hb2 = b3, hb3 = b4;
+    _MM_TRANSPOSE4_PS(a0, a1, a2, a3);      // columns 0-3 from quads 0-3
+    _MM_TRANSPOSE4_PS(b0, b1, b2, b3);
+    _MM_TRANSPOSE4_PS(ha0, ha1, ha2, ha3);  // columns 4-7 from quads 1-4
+    _MM_TRANSPOSE4_PS(hb0, hb1, hb2, hb3);
+    add<kCachedA>(a0, b0);
+    add<kCachedA>(a1, b1);
+    add<kCachedA>(a2, b2);
+    add<kCachedA>(a3, b3);
+    add<kCachedA>(ha0, hb0);
+    add<kCachedA>(ha1, hb1);
+    add<kCachedA>(ha2, hb2);
+    add<kCachedA>(ha3, hb3);
+  }
+
+  /// Adds the four windows' scores (window indices w..w+3) to `total`, one
+  /// window at a time in lane order.
+  template <bool kCachedA>
+  __attribute__((target("avx2"), always_inline)) void finish(const CachedMoments& cached,
+                                                            std::size_t w, double n,
+                                                            double& total) const {
+    alignas(32) double la[4], lb[4], laa[4], lbb[4], lab[4];
+    if constexpr (kCachedA) {
+      for (int l = 0; l < 4; ++l) {
+        la[l] = cached.sa[w + l];
+        laa[l] = cached.saa[w + l];
+      }
+    } else {
+      _mm256_store_pd(la, sa);
+      _mm256_store_pd(laa, saa);
+    }
+    _mm256_store_pd(lb, sb);
+    _mm256_store_pd(lbb, sbb);
+    _mm256_store_pd(lab, sab);
+    for (int l = 0; l < 4; ++l) total += window_score(la[l], lb[l], laa[l], lbb[l], lab[l], n);
+  }
+};
+
 /// Direct (per-window summation) SSIM, vectorized four windows at a time.
 ///
 /// ssim_reference's five accumulators form serial dependency chains *within*
@@ -103,101 +291,57 @@ std::size_t window_positions(int dim, int win, int stride) {
 /// per-window scores join `total` in the same left-to-right, top-to-bottom
 /// window order. The result is therefore bit-identical to ssim_reference —
 /// pinned (with EXPECT_EQ, not a tolerance) by SsimDispatch tests.
+///
+/// Lane l needs sample x of window row y at column xs[gi + l] + x. On the
+/// default grid (win 8, stride 4) an unclamped group's four windows start 4
+/// apart, so together they span 20 contiguous floats: five 4-float loads,
+/// transposed 4x4 twice, replace the eight gathers per row and plane.
+/// Other grids, and the group holding a clamped tail window, gather.
+template <bool kCachedA>
 __attribute__((target("avx2"))) double ssim_direct_avx2(const PlaneF& a, const PlaneF& b,
-                                                        int win, int stride) {
+                                                        const WindowGrid& g,
+                                                        const CachedMoments& cached) {
+  const int win = g.win;
   const double n = static_cast<double>(win) * win;
-  const int max_x = a.width - win;
-  const int max_y = a.height - win;
-
-  // Window x-origins in visit order, clamped tail included — mirrors the
-  // reference's "process, then break once clamped" loop shape.
-  std::vector<int> xs;
-  for (int wx = 0;; wx += stride) {
-    const int x0 = std::min(wx, max_x);
-    xs.push_back(x0);
-    if (x0 >= max_x) break;
-  }
+  const std::vector<int>& xs = g.xs;
+  const bool contiguous_grid = win == 8 && g.stride == 4;
 
   double total = 0.0;
-  std::size_t windows = 0;
-  for (int wy = 0;; wy += stride) {
-    const int y0 = std::min(wy, max_y);
+  std::size_t w = 0;  // index of the next window in visit order
+  for (const int y0 : g.ys) {
+    const float* a_rows = &a.v[static_cast<std::size_t>(y0) * a.width];
+    const float* b_rows = &b.v[static_cast<std::size_t>(y0) * b.width];
     std::size_t gi = 0;
-    for (; gi + 4 <= xs.size(); gi += 4) {
-      // Lane l sums the window at x-origin xs[gi + l]; the gather offsets
-      // never depend on lane spacing, so the clamped tail window needs no
-      // special case.
-      const __m128i idx = _mm_set_epi32(xs[gi + 3], xs[gi + 2], xs[gi + 1], xs[gi]);
-      __m256d sa = _mm256_setzero_pd();
-      __m256d sb = _mm256_setzero_pd();
-      __m256d saa = _mm256_setzero_pd();
-      __m256d sbb = _mm256_setzero_pd();
-      __m256d sab = _mm256_setzero_pd();
-      for (int y = 0; y < win; ++y) {
-        const float* ra = &a.v[static_cast<std::size_t>(y0 + y) * a.width];
-        const float* rb = &b.v[static_cast<std::size_t>(y0 + y) * b.width];
-        for (int x = 0; x < win; ++x) {
-          const __m256d va = _mm256_cvtps_pd(_mm_i32gather_ps(ra + x, idx, 4));
-          const __m256d vb = _mm256_cvtps_pd(_mm_i32gather_ps(rb + x, idx, 4));
-          sa = _mm256_add_pd(sa, va);
-          sb = _mm256_add_pd(sb, vb);
-          saa = _mm256_add_pd(saa, _mm256_mul_pd(va, va));
-          sbb = _mm256_add_pd(sbb, _mm256_mul_pd(vb, vb));
-          sab = _mm256_add_pd(sab, _mm256_mul_pd(va, vb));
+    for (; gi + 4 <= xs.size(); gi += 4, w += 4) {
+      WindowLanes lanes{};
+      if (contiguous_grid && xs[gi + 3] - xs[gi] == 12) {
+        for (int y = 0; y < 8; ++y) {
+          lanes.add_contiguous_row<kCachedA>(
+              a_rows + static_cast<std::size_t>(y) * a.width + xs[gi],
+              b_rows + static_cast<std::size_t>(y) * b.width + xs[gi]);
+        }
+      } else {
+        // Lane l sums the window at x-origin xs[gi + l]; the gather offsets
+        // never depend on lane spacing, so the clamped tail window needs no
+        // special case.
+        const __m128i idx = _mm_set_epi32(xs[gi + 3], xs[gi + 2], xs[gi + 1], xs[gi]);
+        for (int y = 0; y < win; ++y) {
+          const float* ra = a_rows + static_cast<std::size_t>(y) * a.width;
+          const float* rb = b_rows + static_cast<std::size_t>(y) * b.width;
+          for (int x = 0; x < win; ++x) {
+            lanes.add<kCachedA>(_mm_i32gather_ps(ra + x, idx, 4),
+                                _mm_i32gather_ps(rb + x, idx, 4));
+          }
         }
       }
-      alignas(32) double la[4], lb[4], laa[4], lbb[4], lab[4];
-      _mm256_store_pd(la, sa);
-      _mm256_store_pd(lb, sb);
-      _mm256_store_pd(laa, saa);
-      _mm256_store_pd(lbb, sbb);
-      _mm256_store_pd(lab, sab);
-      for (int l = 0; l < 4; ++l) {
-        const double mu_a = la[l] / n;
-        const double mu_b = lb[l] / n;
-        const double var_a = std::max(0.0, laa[l] / n - mu_a * mu_a);
-        const double var_b = std::max(0.0, lbb[l] / n - mu_b * mu_b);
-        const double cov = lab[l] / n - mu_a * mu_b;
-        const double num = (2 * mu_a * mu_b + kC1) * (2 * cov + kC2);
-        const double den = (mu_a * mu_a + mu_b * mu_b + kC1) * (var_a + var_b + kC2);
-        total += num / den;
-        ++windows;
-      }
+      lanes.finish<kCachedA>(cached, w, n, total);
     }
     // Scalar remainder (< 4 windows per row): the reference loop body.
-    for (; gi < xs.size(); ++gi) {
-      const int x0 = xs[gi];
-      double sa = 0;
-      double sb = 0;
-      double saa = 0;
-      double sbb = 0;
-      double sab = 0;
-      for (int y = 0; y < win; ++y) {
-        const float* ra = &a.v[static_cast<std::size_t>(y0 + y) * a.width + x0];
-        const float* rb = &b.v[static_cast<std::size_t>(y0 + y) * b.width + x0];
-        for (int x = 0; x < win; ++x) {
-          const double va = ra[x];
-          const double vb = rb[x];
-          sa += va;
-          sb += vb;
-          saa += va * va;
-          sbb += vb * vb;
-          sab += va * vb;
-        }
-      }
-      const double mu_a = sa / n;
-      const double mu_b = sb / n;
-      const double var_a = std::max(0.0, saa / n - mu_a * mu_a);
-      const double var_b = std::max(0.0, sbb / n - mu_b * mu_b);
-      const double cov = sab / n - mu_a * mu_b;
-      const double num = (2 * mu_a * mu_b + kC1) * (2 * cov + kC2);
-      const double den = (mu_a * mu_a + mu_b * mu_b + kC1) * (var_a + var_b + kC2);
-      total += num / den;
-      ++windows;
+    for (; gi < xs.size(); ++gi, ++w) {
+      total += score_window_scalar(a, b, xs[gi], y0, win, cached, w);
     }
-    if (y0 >= max_y) break;
   }
-  return total / static_cast<double>(windows);
+  return total / static_cast<double>(w);
 }
 
 bool direct_simd_supported() {
@@ -205,6 +349,17 @@ bool direct_simd_supported() {
   return ok;
 }
 #endif  // AW4A_SSIM_DIRECT_SIMD
+
+/// The direct path: AVX2 where the CPU has it, portable otherwise. Both are
+/// bit-identical to ssim_reference.
+template <bool kCachedA>
+double ssim_direct(const PlaneF& a, const PlaneF& b, const WindowGrid& g,
+                   const CachedMoments& cached) {
+#if AW4A_SSIM_DIRECT_SIMD
+  if (direct_simd_supported()) return ssim_direct_avx2<kCachedA>(a, b, g, cached);
+#endif
+  return ssim_direct_scalar(a, b, g, cached);
+}
 
 }  // namespace
 
@@ -237,13 +392,7 @@ double ssim(const PlaneF& a, const PlaneF& b, const SsimOptions& opts) {
   // AVX2 register where the CPU allows — bit-identical to ssim_reference,
   // which stays scalar as the pinned reference.
   if (!ssim_uses_integral(a.width, a.height, opts)) {
-#if AW4A_SSIM_DIRECT_SIMD
-    if (direct_simd_supported()) {
-      const int win = std::min({opts.window, a.width, a.height});
-      return ssim_direct_avx2(a, b, win, opts.stride);
-    }
-#endif
-    return ssim_reference(a, b, opts);
+    return ssim_direct<false>(a, b, WindowGrid(a.width, a.height, opts), CachedMoments{});
   }
 
   const int win = std::min({opts.window, a.width, a.height});
@@ -319,14 +468,7 @@ double ssim_reference(const PlaneF& a, const PlaneF& b, const SsimOptions& opts)
           sab += va * vb;
         }
       }
-      const double mu_a = sa / n;
-      const double mu_b = sb / n;
-      const double var_a = std::max(0.0, saa / n - mu_a * mu_a);
-      const double var_b = std::max(0.0, sbb / n - mu_b * mu_b);
-      const double cov = sab / n - mu_a * mu_b;
-      const double num = (2 * mu_a * mu_b + kC1) * (2 * cov + kC2);
-      const double den = (mu_a * mu_a + mu_b * mu_b + kC1) * (var_a + var_b + kC2);
-      total += num / den;
+      total += window_score(sa, sb, saa, sbb, sab, n);
       ++windows;
       if (x0 >= max_x) break;
     }
@@ -337,6 +479,23 @@ double ssim_reference(const PlaneF& a, const PlaneF& b, const SsimOptions& opts)
 
 double ssim(const Raster& a, const Raster& b, const SsimOptions& opts) {
   return ssim(luma_plane(a), luma_plane(b), opts);
+}
+
+SsimReference::SsimReference(PlaneF a, const SsimOptions& opts)
+    : a_(std::move(a)), opts_(opts) {
+  AW4A_EXPECTS(opts_.window >= 2 && opts_.stride >= 1);
+  AW4A_EXPECTS(a_.width > 0 && a_.height > 0);
+  integral_ = ssim_uses_integral(a_.width, a_.height, opts_);
+  if (!integral_) window_moments(a_, WindowGrid(a_.width, a_.height, opts_), sum_a_, sum_aa_);
+}
+
+double SsimReference::score(const PlaneF& b) const {
+  AW4A_EXPECTS(a_.width == b.width && a_.height == b.height);
+  // ssim()'s own early-out, kept so identical planes score exactly 1 here too.
+  if (a_.v == b.v) return 1.0;
+  if (integral_) return ssim(a_, b, opts_);
+  return ssim_direct<true>(a_, b, WindowGrid(a_.width, a_.height, opts_),
+                           CachedMoments{sum_a_.data(), sum_aa_.data()});
 }
 
 void downsample2_into(const PlaneF& in, PlaneF& out) {
@@ -403,10 +562,6 @@ const char* to_string(QualityMetric m) {
 }
 
 double compare_images(const Raster& a, const Raster& b, QualityMetric metric) {
-  return compare_images(luma_plane(a), luma_plane(b), metric);
-}
-
-double compare_images(const PlaneF& a, const PlaneF& b, QualityMetric metric) {
   return metric == QualityMetric::kMsSsim ? ms_ssim(a, b) : ssim(a, b);
 }
 

@@ -19,6 +19,8 @@
 // window grids take the direct path, dense grids the integral one.
 #pragma once
 
+#include <vector>
+
 #include "imaging/raster.h"
 
 namespace aw4a::imaging {
@@ -34,6 +36,30 @@ double ssim(const PlaneF& a, const PlaneF& b, const SsimOptions& opts = {});
 
 /// Convenience: SSIM over the luma of two same-sized rasters.
 double ssim(const Raster& a, const Raster& b, const SsimOptions& opts = {});
+
+/// One side of many ssim() calls against the same plane: a ladder scores
+/// every rung against its original. Owns the original's luma and, for the
+/// direct (per-window) path, each window's Σa and Σa², summed once here, so
+/// score() accumulates only Σb, Σb² and Σab. score(b) is bit-identical to
+/// ssim(luma(), b, opts): the cached sums are the same serial chains the
+/// direct path would run, and the integral path (dense grids) simply calls
+/// ssim().
+class SsimReference {
+ public:
+  explicit SsimReference(PlaneF a, const SsimOptions& opts = {});
+
+  const PlaneF& luma() const { return a_; }
+
+  /// ssim(luma(), b, opts), bit for bit.
+  double score(const PlaneF& b) const;
+
+ private:
+  PlaneF a_;
+  SsimOptions opts_;
+  bool integral_ = false;
+  std::vector<double> sum_a_;   ///< Σa per direct-path window, visit order
+  std::vector<double> sum_aa_;  ///< Σa² per direct-path window, visit order
+};
 
 /// The retained pre-integral-image implementation: every window re-summed
 /// directly, O(window^2) per window. The equivalence oracle for the test
@@ -67,12 +93,9 @@ enum class QualityMetric { kSsim, kMsSsim };
 
 const char* to_string(QualityMetric m);
 
-/// Dispatches to the chosen metric.
+/// Dispatches to the chosen metric. (VariantLadder scores its rungs through
+/// an SsimReference of the original instead, paying the original's luma and
+/// window sums once per ladder.)
 double compare_images(const Raster& a, const Raster& b, QualityMetric metric);
-
-/// Same dispatch over pre-extracted luma planes — the cached-luma path used
-/// by VariantLadder::measure, which compares many variants against one
-/// original and should pay its luma extraction once.
-double compare_images(const PlaneF& a, const PlaneF& b, QualityMetric metric);
 
 }  // namespace aw4a::imaging

@@ -61,6 +61,13 @@ Encoded encode_retrying(ImageFormat format, const Raster& raster, int quality,
                          retry);
 }
 
+/// True when (format, quality) runs the DCT codec — and so a forward
+/// transform worth sharing. PNG is lossless; WebP at quality >= 100 is its
+/// lossless mode.
+bool is_lossy(ImageFormat format, int quality) {
+  return format == ImageFormat::kJpeg || (format == ImageFormat::kWebp && quality < 100);
+}
+
 Codec::PreparedPtr prepare_retrying(ImageFormat format, const Raster& raster) {
   RetryOptions retry;
   retry.max_attempts = 2;
@@ -158,6 +165,7 @@ ImageVariant measure_variant(const SourceImage& asset, ImageFormat format, doubl
     AW4A_SPAN(ctx, encode_span_name(format));
     return encode_retrying(format, reduced, quality, backend);
   }();
+  if (is_lossy(format, quality)) g_prepares.fetch_add(1, std::memory_order_relaxed);
   count_encode(enc);
   const Raster shown = redisplay(enc.decoded, asset.original.width(), asset.original.height());
   ImageVariant v;
@@ -174,31 +182,48 @@ ImageVariant measure_variant(const SourceImage& asset, ImageFormat format, doubl
   return v;
 }
 
-const PlaneF& VariantLadder::original_luma() const {
-  if (!original_luma_) original_luma_ = luma_plane(asset_->original);
-  return *original_luma_;
-}
+// Every lossy forward transform of one raster in one enumeration pass goes
+// through here. prepare_lossy() depends on the format only through kept
+// alpha, so for an opaque raster the JPEG and WebP coefficient planes are
+// identical (codec.h: a lossy Prepared of an opaque raster is codec-neutral)
+// and the first format to ask prepares for both; a raster with alpha gets
+// one prepare per lossy format. Prepares are made at the first rung that
+// needs them (an all-skipped family pays nothing) and die with the pass —
+// the ladder never retains coefficient planes.
+class VariantLadder::RasterPrepares {
+ public:
+  explicit RasterPrepares(const Raster& raster)
+      : raster_(raster), opaque_(!raster.has_alpha()) {}
 
-const Raster& VariantLadder::reduced_raster(double scale) const {
-  for (const auto& [s, raster] : reduced_cache_) {
-    if (s == scale) return raster;
+  const Codec::Prepared& for_format(ImageFormat format, const obs::RequestContext& ctx) {
+    Codec::PreparedPtr& slot = slots_[opaque_ ? 0 : format_index(format)];
+    if (!slot) {
+      AW4A_SPAN(ctx, "encode.prepare");
+      slot = prepare_retrying(format, raster_);
+      g_prepares.fetch_add(1, std::memory_order_relaxed);
+    }
+    return *slot;
   }
-  reduced_cache_.emplace_back(scale, reduce_resolution(asset_->original, scale));
-  return reduced_cache_.back().second;
+
+ private:
+  const Raster& raster_;
+  bool opaque_;
+  Codec::PreparedPtr slots_[3];
+};
+
+const SsimReference& VariantLadder::reference() const {
+  if (!reference_) reference_.emplace(luma_plane(asset_->original));
+  return *reference_;
 }
 
 ImageVariant VariantLadder::finish_measurement(const Encoded& enc, ImageFormat format,
                                                double scale, int quality,
                                                const obs::RequestContext& ctx) const {
   count_encode(enc);
-  // Full-resolution variants need no redisplay; alias the decoded raster
-  // instead of copying it (quality ladders hit this once per rung).
-  const bool full_res = enc.decoded.width() == asset_->original.width() &&
-                        enc.decoded.height() == asset_->original.height();
-  const Raster resized =
-      full_res ? Raster()
-               : redisplay(enc.decoded, asset_->original.width(), asset_->original.height());
-  const Raster& shown = full_res ? enc.decoded : resized;
+  // What the screen shows, straight to luma: full-resolution rungs skip the
+  // resample, reduced ones never materialize the redisplayed RGBA raster.
+  const PlaneF shown =
+      redisplay_luma(enc.decoded, asset_->original.width(), asset_->original.height());
   ImageVariant v;
   v.format = format;
   v.scale = scale;
@@ -206,97 +231,113 @@ ImageVariant VariantLadder::finish_measurement(const Encoded& enc, ImageFormat f
   v.bytes = wire_header_bytes() +
             static_cast<Bytes>(std::llround(static_cast<double>(enc.payload_bytes()) *
                                             asset_->byte_scale));
-  // Cached-luma path: the original's luma is extracted once per ladder, the
-  // variant's once per measurement — identical scores to comparing rasters.
   {
     AW4A_SPAN(ctx, "ssim");
-    v.ssim = compare_images(original_luma(), luma_plane(shown), options_.metric);
+    v.ssim = options_.metric == QualityMetric::kMsSsim ? ms_ssim(reference().luma(), shown)
+                                                       : reference().score(shown);
   }
   return v;
 }
 
-ImageVariant VariantLadder::measure(ImageFormat format, double scale, int quality,
-                                    const obs::RequestContext& ctx) const {
+ImageVariant VariantLadder::measure_rung(ImageFormat format, const Raster& raster,
+                                         RasterPrepares& prepares, double scale, int quality,
+                                         const obs::RequestContext& ctx) const {
   ctx.check("imaging.measure");
-  const Raster& reduced = reduced_raster(scale);
-  Encoded enc = [&] {
+  Encoded enc;
+  if (is_lossy(format, quality)) {
+    const Codec::Prepared& prep = prepares.for_format(format, ctx);
     AW4A_SPAN(ctx, encode_span_name(format));
-    return encode_retrying(format, reduced, quality, options_.entropy_backend);
-  }();
+    enc = encode_prepared_retrying(format, prep, quality, options_.entropy_backend);
+  } else {
+    AW4A_SPAN(ctx, encode_span_name(format));
+    enc = encode_retrying(format, raster, quality, options_.entropy_backend);
+  }
   return finish_measurement(enc, format, scale, quality, ctx);
 }
 
-ImageVariant VariantLadder::measure_prepared(ImageFormat format, const Codec::Prepared& prep,
-                                             double scale, int quality,
-                                             const obs::RequestContext& ctx) const {
-  ctx.check("imaging.measure");
-  Encoded enc = [&] {
-    AW4A_SPAN(ctx, encode_span_name(format));
-    return encode_prepared_retrying(format, prep, quality, options_.entropy_backend);
-  }();
-  return finish_measurement(enc, format, scale, quality, ctx);
+std::vector<ImageFormat> VariantLadder::family_formats(ImageFormat extra) const {
+  std::vector<ImageFormat> formats = {asset_->format};
+  for (const ImageFormat f : {ImageFormat::kWebp, extra}) {
+    if (std::find(formats.begin(), formats.end(), f) == formats.end()) formats.push_back(f);
+  }
+  return formats;
+}
+
+void VariantLadder::enumerate_full_resolution(ImageFormat extra,
+                                              const obs::RequestContext& ctx) {
+  // Enumerated into locals first: a deadline or fault thrown mid-pass leaves
+  // every slot unset, so a later call re-enumerates the full pass instead of
+  // serving a truncated family.
+  RasterPrepares prepares(asset_->original);
+  std::optional<ImageVariant> webp = webp_full_;
+  if (!webp) {
+    const int q = asset_->format == ImageFormat::kPng ? 100 : asset_->ship_quality;
+    webp = measure_rung(ImageFormat::kWebp, asset_->original, prepares, 1.0, q, ctx);
+    // Full-fidelity settings in a different container: a transcode rung, not
+    // a quality rung (kind is informational — bytes/ssim drive selection).
+    webp->kind = DegradationKind::kTranscode;
+  }
+  std::optional<std::vector<ImageVariant>> families[3];
+  for (const ImageFormat format : family_formats(extra)) {
+    if (qual_family_[format_index(format)]) continue;
+    std::vector<ImageVariant>& family = families[format_index(format)].emplace();
+    if (format == ImageFormat::kPng) continue;  // PNG is lossless: no quality knob
+    for (const int q : options_.quality_steps) {
+      if (q >= asset_->ship_quality) continue;  // upcoding never helps
+      family.push_back(measure_rung(format, asset_->original, prepares, 1.0, q, ctx));
+      if (family.back().ssim < options_.min_ssim) break;
+    }
+  }
+  webp_full_ = std::move(webp);
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (families[i]) qual_family_[i] = std::move(families[i]);
+  }
+}
+
+void VariantLadder::enumerate_resolution(ImageFormat extra, const obs::RequestContext& ctx) {
+  struct Pending {
+    ImageFormat format;
+    std::vector<ImageVariant> family;
+    bool done = false;  ///< a below-floor point was measured
+  };
+  std::vector<Pending> pending;
+  for (const ImageFormat format : family_formats(extra)) {
+    if (!res_family_[format_index(format)]) pending.push_back({format, {}});
+  }
+  for (double s = 1.0 - options_.scale_granularity; s >= options_.min_scale - 1e-9;
+       s -= options_.scale_granularity) {
+    if (std::all_of(pending.begin(), pending.end(), [](const Pending& p) { return p.done; })) {
+      break;
+    }
+    const Raster reduced = reduce_resolution(asset_->original, s);
+    RasterPrepares prepares(reduced);
+    for (Pending& p : pending) {
+      if (p.done) continue;
+      p.family.push_back(
+          measure_rung(p.format, reduced, prepares, s, asset_->ship_quality, ctx));
+      // Keep one below-floor point as a sentinel, then stop this family.
+      p.done = p.family.back().ssim < options_.min_ssim;
+    }
+  }
+  for (Pending& p : pending) res_family_[format_index(p.format)] = std::move(p.family);
 }
 
 const std::vector<ImageVariant>& VariantLadder::resolution_family(
     ImageFormat format, const obs::RequestContext& ctx) {
   auto& slot = res_family_[format_index(format)];
-  if (!slot) {
-    // Enumerated into a local first: a deadline thrown mid-family leaves the
-    // slot unset, so a later (un-deadlined) call re-enumerates the full
-    // family instead of serving a truncated one.
-    std::vector<ImageVariant> family;
-    for (double s = 1.0 - options_.scale_granularity; s >= options_.min_scale - 1e-9;
-         s -= options_.scale_granularity) {
-      ImageVariant v = measure(format, s, asset_->ship_quality, ctx);
-      const double ssim_v = v.ssim;
-      family.push_back(std::move(v));
-      if (ssim_v < options_.min_ssim) break;  // keep one below-floor point as a sentinel
-    }
-    slot = std::move(family);
-  }
+  if (!slot) enumerate_resolution(format, ctx);
   return *slot;
 }
 
 const std::vector<ImageVariant>& VariantLadder::quality_family(ImageFormat format,
                                                                const obs::RequestContext& ctx) {
   auto& slot = qual_family_[format_index(format)];
-  if (!slot) {
-    std::vector<ImageVariant> family;
-    if (format != ImageFormat::kPng) {  // PNG is lossless: no quality knob
-      // Encode-once ladder: every rung shares one full-resolution raster, so
-      // the quality-independent work (color conversion + forward DCT) runs
-      // once — created lazily at the first rung so an all-skipped ladder
-      // pays nothing. encode_prepared() is bit-identical to encode(), per
-      // the Codec contract.
-      Codec::PreparedPtr prep;
-      for (int q : options_.quality_steps) {
-        if (q >= asset_->ship_quality) continue;  // upcoding never helps
-        if (!prep) {
-          ctx.check("imaging.quality_family");
-          AW4A_SPAN(ctx, "encode.prepare");
-          prep = prepare_retrying(format, reduced_raster(1.0));
-          g_prepares.fetch_add(1, std::memory_order_relaxed);
-        }
-        ImageVariant v = measure_prepared(format, *prep, 1.0, q, ctx);
-        const double ssim_v = v.ssim;
-        family.push_back(std::move(v));
-        if (ssim_v < options_.min_ssim) break;
-      }
-    }
-    slot = std::move(family);
-  }
+  if (!slot) enumerate_full_resolution(format, ctx);
   return *slot;
 }
 
 const ImageVariant& VariantLadder::webp_full(const obs::RequestContext& ctx) {
-  if (!webp_full_) {
-    const int q = asset_->format == ImageFormat::kPng ? 100 : asset_->ship_quality;
-    ImageVariant v = measure(ImageFormat::kWebp, 1.0, q, ctx);
-    // Full-fidelity settings in a different container: a transcode rung, not
-    // a quality rung (kind is informational — bytes/ssim drive selection).
-    v.kind = DegradationKind::kTranscode;
-    webp_full_ = std::move(v);
-  }
+  if (!webp_full_) enumerate_full_resolution(asset_->format, ctx);
   return *webp_full_;
 }
 
@@ -367,11 +408,8 @@ void VariantLadder::adopt(const VariantMemo& memo) {
 }
 
 void VariantLadder::warm(const obs::RequestContext& ctx) {
-  webp_full(ctx);
-  resolution_family(asset_->format, ctx);
-  resolution_family(ImageFormat::kWebp, ctx);
-  quality_family(asset_->format, ctx);
-  quality_family(ImageFormat::kWebp, ctx);
+  enumerate_full_resolution(asset_->format, ctx);
+  enumerate_resolution(asset_->format, ctx);
 }
 
 std::vector<ImageVariant> VariantLadder::all_variants() const {

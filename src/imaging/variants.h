@@ -149,7 +149,8 @@ struct VariantMemo {
 struct BuildWorkStats {
   std::uint64_t encodes = 0;        ///< variant measurements that ran a codec
   std::uint64_t encoded_bytes = 0;  ///< encoder output bytes (proxy scale)
-  std::uint64_t prepares = 0;       ///< Codec::prepare calls (forward DCT work)
+  std::uint64_t prepares = 0;       ///< lossy forward transforms (Codec::prepare or
+                                    ///< the first half of a single-shot encode)
 };
 BuildWorkStats build_work_stats();
 void reset_build_work_stats();
@@ -186,15 +187,17 @@ class VariantLadder {
   // independent of when a deadline fired.
 
   /// Resolution family in `format`: scale 1-g, 1-2g, ... (SSIM-measured).
-  /// Stops at min_scale or when SSIM drops below min_ssim.
+  /// Stops at min_scale or when SSIM drops below min_ssim. Enumerated jointly
+  /// with the other standard resolution family (enumerate_resolution).
   const std::vector<ImageVariant>& resolution_family(
       ImageFormat format, const obs::RequestContext& ctx = obs::RequestContext::none());
 
   /// Quality family at full resolution in `format` (lossy formats only; for
-  /// PNG this returns just the original since PNG is lossless). The rungs
-  /// share one Codec::prepare() of the full-resolution raster, so the
-  /// forward DCT runs once for the whole family; outputs are bit-identical
-  /// to per-rung single-shot encodes.
+  /// PNG this is empty since PNG is lossless). The rungs share one
+  /// Codec::prepare() of the full-resolution raster with webp_full and the
+  /// other quality family (enumerate_full_resolution), so the forward DCT
+  /// runs once per ladder for an opaque source; outputs are bit-identical to
+  /// per-rung single-shot encodes.
   const std::vector<ImageVariant>& quality_family(
       ImageFormat format, const obs::RequestContext& ctx = obs::RequestContext::none());
 
@@ -235,9 +238,10 @@ class VariantLadder {
   void adopt(const VariantMemo& memo);
 
   /// Enumerates the five standard families (the WebP transcode plus both
-  /// formats' resolution and quality families — the same set prewarm fills).
-  /// Unlike prewarm this propagates failures: a store warming an entry must
-  /// know the memo is complete before sharing it.
+  /// formats' resolution and quality families) — what the asset store and
+  /// core::LadderCache::prewarm fill. Runs the same two joint passes the
+  /// lazy accessors do, and propagates failures: a store warming an entry
+  /// must know the memo is complete before sharing it.
   void warm(const obs::RequestContext& ctx = obs::RequestContext::none());
 
   /// Re-creates the decoded, redisplayed raster of a variant (used by the
@@ -245,37 +249,46 @@ class VariantLadder {
   Raster render_variant(const ImageVariant& v) const;
 
  private:
-  ImageVariant measure(ImageFormat format, double scale, int quality,
-                       const obs::RequestContext& ctx) const;
+  /// The lossy prepares of one raster within one enumeration pass (see
+  /// variants.cc): one forward transform per distinct coefficient-plane set,
+  /// freed with the pass.
+  class RasterPrepares;
 
-  /// measure() with the encode split at the Codec prepare/encode_prepared
-  /// seam: `prep` must come from codec_for(format).prepare() on the raster
-  /// the variant represents. quality_family() uses this to run the forward
-  /// DCT once per ladder instead of once per rung.
-  ImageVariant measure_prepared(ImageFormat format, const Codec::Prepared& prep, double scale,
-                                int quality, const obs::RequestContext& ctx) const;
+  /// Measures one rung: `raster` is the asset reduced to `scale`. Lossy rungs
+  /// encode from `prepares` (prepare/encode_prepared split); lossless ones
+  /// (PNG, WebP at quality 100) encode the raster directly.
+  ImageVariant measure_rung(ImageFormat format, const Raster& raster, RasterPrepares& prepares,
+                            double scale, int quality, const obs::RequestContext& ctx) const;
 
-  /// Shared tail of measure()/measure_prepared(): redisplay, page-scale
-  /// bytes, SSIM vs the cached original luma.
+  /// Shared tail of every rung: redisplayed luma, page-scale bytes, quality
+  /// vs the original's cached SSIM reference.
   ImageVariant finish_measurement(const Encoded& enc, ImageFormat format, double scale,
                                   int quality, const obs::RequestContext& ctx) const;
 
-  /// Luma of the original, extracted on first use: every variant measurement
-  /// compares against the same original, so its luma is computed once per
-  /// ladder instead of once per measure() call.
-  const PlaneF& original_luma() const;
+  /// The resolution/quality families the standard set enumerates: the
+  /// shipped format, then WebP (one entry when they coincide), plus `extra`
+  /// when a caller asks for a family outside that pair.
+  std::vector<ImageFormat> family_formats(ImageFormat extra) const;
 
-  /// The original reduced to `scale`, memoized per distinct scale: the three
-  /// per-format resolution families (and any solver probe) revisit the same
-  /// scale steps, so each box-resize runs once per ladder instead of once
-  /// per format. Keyed by the exact scale double — families derive scales
-  /// from identical arithmetic, so equality comparison is sound.
-  const Raster& reduced_raster(double scale) const;
+  /// Fills every unset full-resolution slot in one pass over the original:
+  /// webp_full plus the quality family of each family_formats(extra) entry.
+  /// The slots share the pass's prepares, so an opaque original runs one
+  /// forward transform for all of them. Aborted passes memoize nothing.
+  void enumerate_full_resolution(ImageFormat extra, const obs::RequestContext& ctx);
+
+  /// Fills every unset resolution family of family_formats(extra) in one
+  /// pass, scale by scale: each scale's reduced raster (and, for an opaque
+  /// source, its one lossy prepare) serves every family still above the
+  /// SSIM floor, then is freed. Aborted passes memoize nothing.
+  void enumerate_resolution(ImageFormat extra, const obs::RequestContext& ctx);
+
+  /// The original's SSIM reference (its luma plus per-window sums), built on
+  /// first use: every rung is scored against the same original.
+  const SsimReference& reference() const;
 
   std::shared_ptr<const SourceImage> asset_;
   LadderOptions options_;
-  mutable std::optional<PlaneF> original_luma_;
-  mutable std::vector<std::pair<double, Raster>> reduced_cache_;
+  mutable std::optional<SsimReference> reference_;
   std::optional<std::vector<ImageVariant>> res_family_[3];
   std::optional<std::vector<ImageVariant>> qual_family_[3];
   std::optional<ImageVariant> webp_full_;

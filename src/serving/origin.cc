@@ -432,7 +432,7 @@ net::HttpResponse OriginServer::trace_response(const net::HttpRequest& request,
   obs::TraceBuffer buffer;
   const obs::RequestContext ctx = request_context(site).with_trace(&buffer);
   net::HttpRequest probe = request;
-  probe.path = "/";
+  probe.path.assign(1, '/');
   const PageAnswer answer = serve_page(site, probe, ctx);
 
   JsonWriter json;

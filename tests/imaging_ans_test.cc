@@ -133,6 +133,116 @@ TEST(AnsTable, SerializationRoundTrip) {
   }
 }
 
+// The escape-threshold sweep as it ran before candidates were priced
+// unfinalized: every candidate is a complete, finalize()d table. Kept here
+// as the oracle that build_table()'s winner-only finalize must match byte for
+// byte (the normalization is copied verbatim: largest-remainder, ties by
+// entry index).
+ans::FreqTable finalized_sweep_oracle(const std::uint64_t* counts, int n_symbols) {
+  auto normalize = [](const std::vector<std::uint64_t>& kept) {
+    std::uint64_t total = 0;
+    for (const std::uint64_t c : kept) total += c;
+    std::vector<std::uint32_t> freqs(kept.size());
+    std::int64_t assigned = 0;
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      freqs[i] = static_cast<std::uint32_t>(
+          std::max<std::uint64_t>(1, (kept[i] * ans::kScaleTotal) / total));
+      assigned += freqs[i];
+    }
+    while (assigned < static_cast<std::int64_t>(ans::kScaleTotal)) {
+      std::size_t best = 0;
+      double best_gain = -1.0;
+      for (std::size_t i = 0; i < kept.size(); ++i) {
+        const double gain = static_cast<double>(kept[i]) / freqs[i];
+        if (gain > best_gain) {
+          best_gain = gain;
+          best = i;
+        }
+      }
+      ++freqs[best];
+      ++assigned;
+    }
+    while (assigned > static_cast<std::int64_t>(ans::kScaleTotal)) {
+      std::size_t best = kept.size();
+      double best_loss = 0.0;
+      for (std::size_t i = 0; i < kept.size(); ++i) {
+        if (freqs[i] <= 1) continue;
+        const double loss = static_cast<double>(kept[i]) / (freqs[i] - 1);
+        if (best == kept.size() || loss < best_loss) {
+          best_loss = loss;
+          best = i;
+        }
+      }
+      --freqs[best];
+      --assigned;
+    }
+    return freqs;
+  };
+  ans::FreqTable best;
+  double best_cost = -1.0;
+  for (const std::uint64_t threshold : {0ull, 1ull, 2ull, 4ull, 8ull}) {
+    ans::FreqTable t;
+    std::vector<std::uint64_t> kept;
+    std::uint64_t escaped = 0;
+    for (int s = 0; s < n_symbols; ++s) {
+      if (counts[s] == 0) continue;
+      if (threshold > 0 && counts[s] <= threshold) {
+        escaped += counts[s];
+      } else {
+        t.symbols.push_back(static_cast<std::uint16_t>(s));
+        kept.push_back(counts[s]);
+      }
+    }
+    if (escaped > 0 || t.symbols.empty()) {
+      if (escaped == 0) continue;
+      t.symbols.push_back(static_cast<std::uint16_t>(ans::kEscapeSymbol));
+      kept.push_back(escaped);
+    }
+    for (const std::uint32_t f : normalize(kept)) t.freqs.push_back(static_cast<std::uint16_t>(f));
+    t.finalize();
+    const double cost = ans::table_stream_bits(t, counts, n_symbols) +
+                        8.0 * static_cast<double>(ans::serialized_table_bytes(t));
+    if (best_cost < 0 || cost < best_cost) {
+      best_cost = cost;
+      best = std::move(t);
+    }
+  }
+  return best;
+}
+
+TEST(AnsTable, WinnerOnlyFinalizeMatchesFinalizedSweep) {
+  // Skewed histograms with long tails of 1..8 counts make every escape
+  // threshold a live candidate; sparse ones leave most ids absent.
+  Rng rng(23);
+  int checked = 0;
+  for (const int n : {16, 64, 256}) {
+    for (const double decay : {1.0, 0.97, 0.9, 0.7, 0.5}) {
+      for (int rep = 0; rep < 4; ++rep) {
+        std::vector<std::uint64_t> counts = skewed_counts(rng, n, decay);
+        if (rep % 2 == 1) {
+          for (auto& c : counts) c = rng.uniform(0.0, 1.0) < 0.6 ? 0 : c % 9;
+        }
+        if (std::all_of(counts.begin(), counts.end(), [](std::uint64_t c) { return c == 0; })) {
+          continue;  // the pure-escape table is not swept
+        }
+        const ans::FreqTable got = ans::build_table(counts.data(), n);
+        const ans::FreqTable want = finalized_sweep_oracle(counts.data(), n);
+        std::vector<std::uint8_t> got_bytes, want_bytes;
+        ans::serialize_table(got, got_bytes);
+        ans::serialize_table(want, want_bytes);
+        EXPECT_EQ(got_bytes, want_bytes) << "n=" << n << " decay=" << decay << " rep=" << rep;
+        EXPECT_EQ(got.cum, want.cum);
+        EXPECT_EQ(got.entry_of, want.entry_of);
+        EXPECT_EQ(got.packed, want.packed);
+        EXPECT_EQ(got.esc_start, want.esc_start);
+        EXPECT_EQ(got.recip, want.recip);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 50);
+}
+
 TEST(AnsTable, DeserializeRejectsTruncatedAndCorrupt) {
   Rng rng(13);
   const std::vector<std::uint64_t> counts = skewed_counts(rng, 64, 0.8);

@@ -130,7 +130,7 @@ TEST_P(SsimStrideEquivalenceTest, MatchesReferenceImplementation) {
 INSTANTIATE_TEST_SUITE_P(Strides, SsimStrideEquivalenceTest, ::testing::Values(1, 3, 4, 8));
 
 TEST(SsimEquivalence, OddPlaneSizes) {
-  for (const auto [w, h] : {std::pair{37, 53}, std::pair{61, 19}, std::pair{101, 23}}) {
+  for (const auto& [w, h] : {std::pair{37, 53}, std::pair{61, 19}, std::pair{101, 23}}) {
     const auto [a, b] = correlated_planes(w, h, 100 + w);
     for (const int stride : {1, 3, 4}) {
       const SsimOptions opts{.window = 8, .stride = stride};
@@ -217,6 +217,69 @@ TEST(SsimDispatch, BothSidesOfTheCrossoverAgreeNumerically) {
     const SsimOptions opts{.window = 8, .stride = stride};
     EXPECT_NEAR(ssim(a, b, opts), ssim_reference(a, b, opts), 1e-9) << "stride " << stride;
   }
+}
+
+// --- SsimReference: cached per-window sums of the original ---
+
+TEST(SsimReference, ScoreBitIdenticalToSsimOnDirectPath) {
+  // Stride 4 / window 8 takes the contiguous-load kernel for unclamped
+  // window groups; the odd sizes put clamped tail windows on both axes
+  // (gather path) and leave a scalar remainder. Other strides and windows
+  // gather throughout.
+  for (const auto& [w, h] : {std::pair{160, 120}, {163, 121}, {57, 43}, {97, 61}, {21, 13}}) {
+    const auto [a, b] = correlated_planes(w, h, 17);
+    for (const auto& [window, stride] : {std::pair{8, 4}, {8, 3}, {8, 7}, {11, 4}, {8, 16}}) {
+      const SsimOptions opts{.window = window, .stride = stride};
+      if (ssim_uses_integral(w, h, opts)) continue;
+      const SsimReference ref(a, opts);
+      EXPECT_EQ(ref.score(b), ssim(a, b, opts))
+          << w << "x" << h << " window " << window << " stride " << stride;
+      EXPECT_EQ(ref.score(b), ssim_reference(a, b, opts));
+    }
+  }
+}
+
+TEST(SsimReference, ScoreBitIdenticalOnIntegralDispatchSizes) {
+  // Dense grids dispatch to the integral path, which the reference simply
+  // delegates to.
+  for (const auto& [w, h] : {std::pair{64, 64}, {37, 53}, {16, 16}}) {
+    const auto [a, b] = correlated_planes(w, h, 19);
+    for (const int stride : {1, 2}) {
+      const SsimOptions opts{.window = 8, .stride = stride};
+      ASSERT_TRUE(ssim_uses_integral(w, h, opts));
+      EXPECT_EQ(SsimReference(a, opts).score(b), ssim(a, b, opts)) << w << "x" << h;
+    }
+  }
+}
+
+TEST(SsimReference, IdenticalFlatAndWindowClampedPlanes) {
+  const auto [a, b] = correlated_planes(48, 40, 23);
+  const SsimReference ref(a);
+  EXPECT_EQ(ref.score(a), 1.0);
+  EXPECT_EQ(ref.score(b), ssim(a, b));
+  // One window covers the whole plane (window > both dims clamps).
+  const auto [tiny_a, tiny_b] = correlated_planes(7, 5, 29);
+  const SsimOptions big{.window = 16, .stride = 4};
+  EXPECT_EQ(SsimReference(tiny_a, big).score(tiny_b), ssim(tiny_a, tiny_b, big));
+  // Zero-variance windows on either side.
+  const PlaneF flat(40, 40, 128.0f);
+  const auto [textured, unused] = correlated_planes(40, 40, 31);
+  (void)unused;
+  EXPECT_EQ(SsimReference(flat).score(textured), ssim(flat, textured));
+  EXPECT_EQ(SsimReference(textured).score(flat), ssim(textured, flat));
+}
+
+TEST(SsimReference, ReusableAcrossManyScores) {
+  // One reference, many rungs: each score depends only on its own plane.
+  const auto [a, b] = correlated_planes(96, 80, 37);
+  const SsimReference ref(a);
+  PlaneF c = b;
+  for (float& v : c.v) v = std::min(255.0f, v + 3.0f);
+  const double sb = ref.score(b);
+  const double sc = ref.score(c);
+  EXPECT_EQ(ref.score(b), sb);
+  EXPECT_EQ(sc, ssim(a, c));
+  EXPECT_EQ(ref.luma().v, a.v);
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 #include "imaging/variants.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -126,6 +131,152 @@ TEST(MeasureVariant, ByteScaleApplied) {
   // shipped wire size (within re-encode losses).
   EXPECT_GT(v.bytes, asset->wire_bytes / 2);
   EXPECT_LT(v.bytes, asset->wire_bytes * 2);
+}
+
+// --- Joint enumeration: one pass per family group, bit-identical results ---
+
+std::shared_ptr<const SourceImage> with_alpha(const SourceImage& base, ImageFormat format) {
+  SourceImage asset = base;
+  asset.format = format;
+  for (int y = 0; y < asset.original.height(); ++y) {
+    for (int x = 0; x < asset.original.width(); ++x) {
+      asset.original.at(x, y).a = static_cast<std::uint8_t>(60 + (x * 5 + y * 3) % 196);
+    }
+  }
+  return std::make_shared<const SourceImage>(std::move(asset));
+}
+
+/// The sources the joint passes must handle: an opaque JPEG (one shared
+/// prepare per scale), an opaque-or-flat PNG, a PNG with alpha, and a JPEG
+/// whose raster carries alpha (JPEG and WebP planes differ, so each format
+/// prepares for itself).
+std::vector<std::pair<std::string, std::shared_ptr<const SourceImage>>> joint_sources() {
+  const auto photo = make_asset(ImageClass::kPhoto, 150 * kKB, 4);
+  const auto logo = make_asset(ImageClass::kLogo, 40 * kKB, 3);
+  return {{"jpeg", photo},
+          {"png", logo},
+          {"png_alpha", with_alpha(*logo, ImageFormat::kPng)},
+          {"jpeg_alpha", with_alpha(*photo, ImageFormat::kJpeg)}};
+}
+
+void expect_same_variants(const std::vector<ImageVariant>& got,
+                          const std::vector<ImageVariant>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].format, want[i].format) << what << " rung " << i;
+    EXPECT_EQ(got[i].scale, want[i].scale) << what << " rung " << i;
+    EXPECT_EQ(got[i].quality, want[i].quality) << what << " rung " << i;
+    EXPECT_EQ(got[i].bytes, want[i].bytes) << what << " rung " << i;
+    EXPECT_EQ(got[i].ssim, want[i].ssim) << what << " rung " << i;
+    EXPECT_EQ(got[i].kind, want[i].kind) << what << " rung " << i;
+    EXPECT_EQ(got[i].alt_chars, want[i].alt_chars) << what << " rung " << i;
+    EXPECT_EQ(got[i].is_original, want[i].is_original) << what << " rung " << i;
+  }
+}
+
+class JointEnumerationTest : public ::testing::TestWithParam<EntropyBackend> {
+ protected:
+  LadderOptions options() const {
+    LadderOptions o;
+    o.entropy_backend = GetParam();
+    return o;
+  }
+};
+
+TEST_P(JointEnumerationTest, WarmMatchesPerFamilyLazyAndSingleShotOracle) {
+  for (const auto& [name, asset] : joint_sources()) {
+    const LadderOptions opts = options();
+    VariantLadder warmed(asset, opts);
+    warmed.warm();
+    const VariantMemo memo = warmed.snapshot();
+    const std::vector<ImageFormat> formats = {asset->format, ImageFormat::kWebp};
+
+    // Oracle: every rung as an independent single-shot measure_variant(),
+    // the uncached path with its own encode, redisplay and raster SSIM.
+    auto oracle = [&](ImageFormat f, double scale, int q) {
+      return measure_variant(*asset, f, scale, q, obs::RequestContext::none(), GetParam());
+    };
+    for (const ImageFormat f : formats) {
+      const std::string what = name + " " + to_string(f);
+      std::vector<ImageVariant> res;
+      for (double s = 1.0 - opts.scale_granularity; s >= opts.min_scale - 1e-9;
+           s -= opts.scale_granularity) {
+        res.push_back(oracle(f, s, asset->ship_quality));
+        if (res.back().ssim < opts.min_ssim) break;
+      }
+      std::vector<ImageVariant> qual;
+      for (const int q : opts.quality_steps) {
+        if (f == ImageFormat::kPng || q >= asset->ship_quality) continue;
+        qual.push_back(oracle(f, 1.0, q));
+        if (qual.back().ssim < opts.min_ssim) break;
+      }
+      ASSERT_TRUE(memo.res_family[static_cast<std::size_t>(f)].has_value()) << what;
+      ASSERT_TRUE(memo.qual_family[static_cast<std::size_t>(f)].has_value()) << what;
+      expect_same_variants(*memo.res_family[static_cast<std::size_t>(f)], res, what + " res");
+      expect_same_variants(*memo.qual_family[static_cast<std::size_t>(f)], qual,
+                           what + " qual");
+
+      // Lazy: a fresh ladder asked for this one family first.
+      VariantLadder lazy_res(asset, opts);
+      expect_same_variants(lazy_res.resolution_family(f), res, what + " lazy res");
+      VariantLadder lazy_qual(asset, opts);
+      expect_same_variants(lazy_qual.quality_family(f), qual, what + " lazy qual");
+    }
+    ImageVariant webp =
+        oracle(ImageFormat::kWebp, 1.0,
+               asset->format == ImageFormat::kPng ? 100 : asset->ship_quality);
+    webp.kind = DegradationKind::kTranscode;
+    ASSERT_TRUE(memo.webp_full.has_value()) << name;
+    expect_same_variants({*memo.webp_full}, {webp}, name + " webp_full");
+    VariantLadder lazy_webp(asset, opts);
+    expect_same_variants({lazy_webp.webp_full()}, {webp}, name + " lazy webp_full");
+  }
+}
+
+TEST_P(JointEnumerationTest, PartialAdoptFillsOnlyTheMissingSlots) {
+  // A memo with one family per pass missing: the joint passes measure just
+  // those, and the result equals a full local warm.
+  const auto asset = make_asset(ImageClass::kPhoto, 150 * kKB, 4);
+  VariantLadder full(asset, options());
+  full.warm();
+  VariantMemo partial = full.snapshot();
+  partial.res_family[static_cast<std::size_t>(ImageFormat::kWebp)].reset();
+  partial.qual_family[static_cast<std::size_t>(asset->format)].reset();
+  VariantLadder adopted(asset, options());
+  adopted.adopt(partial);
+  reset_build_work_stats();
+  adopted.warm();
+  EXPECT_GT(build_work_stats().encodes, 0u);
+  const VariantMemo got = adopted.snapshot();
+  const VariantMemo want = full.snapshot();
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(got.res_family[i].has_value(), want.res_family[i].has_value());
+    ASSERT_EQ(got.qual_family[i].has_value(), want.qual_family[i].has_value());
+    if (want.res_family[i]) expect_same_variants(*got.res_family[i], *want.res_family[i], "res");
+    if (want.qual_family[i]) {
+      expect_same_variants(*got.qual_family[i], *want.qual_family[i], "qual");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, JointEnumerationTest,
+                         ::testing::Values(EntropyBackend::kHuffman, EntropyBackend::kRans),
+                         [](const auto& info) { return std::string(to_string(info.param)); });
+
+TEST(JointEnumeration, OpaqueSourceRunsOneForwardTransformPerRaster) {
+  // Opaque JPEG source: one prepare of the original serves webp_full and
+  // both quality families, and one prepare per resolution scale serves both
+  // resolution families.
+  const auto asset = make_asset(ImageClass::kPhoto, 150 * kKB, 4);
+  ASSERT_EQ(asset->format, ImageFormat::kJpeg);
+  ASSERT_FALSE(asset->original.has_alpha());
+  reset_build_work_stats();
+  VariantLadder ladder(asset);
+  ladder.warm();
+  const std::size_t scales =
+      std::max(ladder.resolution_family(ImageFormat::kJpeg).size(),
+               ladder.resolution_family(ImageFormat::kWebp).size());
+  EXPECT_EQ(build_work_stats().prepares, 1 + scales);
 }
 
 class LadderClassTest : public ::testing::TestWithParam<ImageClass> {};
