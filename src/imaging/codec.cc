@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "imaging/ans.h"
 #include "imaging/codec_detail.h"
@@ -71,13 +73,7 @@ std::array<int, 64> scaled_table(const int* base, int quality, double hf_scale) 
 
 // Magnitude category as in JPEG: number of bits to represent |v|.
 int category(int v) {
-  int a = std::abs(v);
-  int c = 0;
-  while (a) {
-    a >>= 1;
-    ++c;
-  }
-  return c;
+  return std::bit_width(static_cast<unsigned>(std::abs(v)));
 }
 
 /// Symbol-frequency histogram over a fixed dense symbol range. Replaces the
@@ -118,27 +114,31 @@ struct EntropyAccumulator {
   double extra_bits = 0.0;
   int prev_dc = 0;
 
+  /// Walks the nonzero AC levels only: bit i of a 64-bit mask marks
+  /// zz[i] != 0, and count-trailing-zeros jumps from one nonzero to the
+  /// next, so the zero run before each is the gap between their indices.
+  /// Symbols and magnitude bits are added in ascending index order, exactly
+  /// as a slot-by-slot walk adds them.
   void add_block(const std::array<int, 64>& zz) {
     const int dc_cat = category(zz[0] - prev_dc);
     prev_dc = zz[0];
     dc_freq.add(dc_cat);
     extra_bits += dc_cat;
-    int run = 0;
-    for (int i = 1; i < 64; ++i) {
-      if (zz[i] == 0) {
-        ++run;
-        continue;
-      }
-      while (run > 15) {
-        ac_freq.add(0xF0);  // ZRL
-        run -= 16;
-      }
+    std::uint64_t nonzero = 0;
+    for (int i = 0; i < 64; ++i) nonzero |= static_cast<std::uint64_t>(zz[i] != 0) << i;
+    nonzero &= ~std::uint64_t{1};  // the DC slot is coded above
+    int last = 0;  // index of the previous nonzero (the DC slot to start)
+    while (nonzero != 0) {
+      const int i = std::countr_zero(nonzero);
+      nonzero &= nonzero - 1;
+      int run = i - last - 1;
+      for (; run > 15; run -= 16) ac_freq.add(0xF0);  // ZRL
       const int cat = category(zz[i]);
       ac_freq.add((run << 4) | cat);
       extra_bits += cat;
-      run = 0;
+      last = i;
     }
-    if (run > 0) ac_freq.add(0x00);  // EOB
+    if (last < 63) ac_freq.add(0x00);  // EOB: trailing zeros remain
   }
 
   /// add_block() specialized for a block whose 63 AC levels are all zero:
@@ -260,10 +260,6 @@ PlaneF subsample2(const PlaneF& in) {
   return out;
 }
 
-std::uint8_t clamp_u8(float v) {
-  return static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f) + 0.5f);
-}
-
 /// One output row of the co-sited 2x bilinear chroma upsample, minus the
 /// 128 bias, written into dst[0..w). r0/r1 are the two contributing chroma
 /// rows (identical at the bottom edge); half_y says whether the output row
@@ -311,27 +307,44 @@ void upsample_chroma_row(const float* r0, const float* r1, bool half_y, int cw, 
   }
 }
 
+/// One color-converted channel as a byte in an int lane:
+/// clamp(int(v + 0.5f), 0, 255). For every finite |v| < 2^31 this equals the
+/// clamp-then-round form int(clamp(v, 0, 255) + 0.5f): inside [0, 255] both
+/// truncate the same v + 0.5f, below 0 the truncation is <= 0 and clamps to
+/// 0, above 255 it is >= 255 and clamps to 255. Integer min/max instead of
+/// float compare-and-branch lets the row loop vectorize.
+inline std::uint32_t channel_u8(float v) {
+  return static_cast<std::uint32_t>(std::clamp(static_cast<int>(v + 0.5f), 0, 255));
+}
+
 /// Assembles the decoded RGBA raster from reconstructed (+128 domain) luma
 /// and subsampled chroma planes. The chroma planes are upsampled 2x
 /// bilinearly (co-sited): for output (x, y) the sample sits at (x/2, y/2),
 /// so the interpolation weights alternate between exactly 0 and exactly 0.5
 /// and the two source rows are fixed per output row. Each row's upsampled,
 /// bias-subtracted chroma is staged into flat scratch rows first (see
-/// upsample_chroma_row for the bit-identity argument), which keeps the
-/// per-pixel color-convert loop free of index math and branches. Shared by
-/// the encoder's reconstruction and the rANS decode path, so the two are
-/// bit-identical by construction.
+/// upsample_chroma_row for the bit-identity argument), and the color convert
+/// writes one row of opaque pixels packed little-endian into 32-bit words
+/// (r | g << 8 | b << 16 | 0xFF << 24, the byte layout of a Pixel), so the
+/// per-pixel loop is branch-free and vectorizes; a kept alpha plane is
+/// overlaid afterwards. Shared by the encoder's reconstruction and the rANS
+/// decode path, so the two are bit-identical by construction.
 void planes_to_raster(const PlaneF& ly, const PlaneF& cb2, const PlaneF& cr2, int w, int h,
                       const std::uint8_t* alpha, Raster& out) {
+  static_assert(std::is_trivially_copyable_v<Pixel> && sizeof(Pixel) == sizeof(std::uint32_t) &&
+                std::endian::native == std::endian::little);
   const int cw = cb2.width;
   const int ch = cb2.height;
   const float* cbv = cb2.v.data();
   const float* crv = cr2.v.data();
   static thread_local std::vector<float> cbu_buf, cru_buf;
+  static thread_local std::vector<std::uint32_t> packed_buf;
   cbu_buf.resize(static_cast<std::size_t>(w));
   cru_buf.resize(static_cast<std::size_t>(w));
+  packed_buf.resize(static_cast<std::size_t>(w));
   float* cbu = cbu_buf.data();
   float* cru = cru_buf.data();
+  std::uint32_t* packed = packed_buf.data();
   Pixel* dst = out.pixels().data();
   for (int y = 0; y < h; ++y) {
     const float* lrow = &ly.v[static_cast<std::size_t>(y) * w];
@@ -342,17 +355,21 @@ void planes_to_raster(const PlaneF& ly, const PlaneF& cb2, const PlaneF& cr2, in
                         cbv + static_cast<std::size_t>(cy1) * cw, half_y, cw, w, cbu);
     upsample_chroma_row(crv + static_cast<std::size_t>(cy0) * cw,
                         crv + static_cast<std::size_t>(cy1) * cw, half_y, cw, w, cru);
-    Pixel* prow = dst + static_cast<std::size_t>(y) * w;
-    const std::uint8_t* arow = alpha != nullptr ? alpha + static_cast<std::size_t>(y) * w : nullptr;
     for (int x = 0; x < w; ++x) {
       const float Y = lrow[x];
       const float Cb = cbu[x];
       const float Cr = cru[x];
-      Pixel& p = prow[x];
-      p.r = clamp_u8(Y + 1.402f * Cr);
-      p.g = clamp_u8(Y - 0.344136f * Cb - 0.714136f * Cr);
-      p.b = clamp_u8(Y + 1.772f * Cb);
-      p.a = arow != nullptr ? arow[x] : 255;
+      packed[x] = channel_u8(Y + 1.402f * Cr) |
+                  channel_u8(Y - 0.344136f * Cb - 0.714136f * Cr) << 8 |
+                  channel_u8(Y + 1.772f * Cb) << 16 | 0xFF000000u;
+    }
+    Pixel* prow = dst + static_cast<std::size_t>(y) * w;
+    // Pixel is trivially copyable (default member initializers only make
+    // its default constructor non-trivial, which -Wclass-memaccess flags).
+    std::memcpy(static_cast<void*>(prow), packed, static_cast<std::size_t>(w) * sizeof(Pixel));
+    if (alpha != nullptr) {
+      const std::uint8_t* arow = alpha + static_cast<std::size_t>(y) * w;
+      for (int x = 0; x < w; ++x) prow[x].a = arow[x];
     }
   }
 }
@@ -1088,69 +1105,69 @@ std::vector<std::uint8_t> png_filter_stream(const Raster& img, bool include_alph
   const int channels = include_alpha ? 4 : 3;
   const int w = img.width();
   const int h = img.height();
-  const int stride = w * channels;
-  auto paeth = [](int a, int b, int c) {
-    const int pr = a + b - c;
-    const int pa = std::abs(pr - a);
-    const int pb = std::abs(pr - b);
-    const int pc = std::abs(pr - c);
-    if (pa <= pb && pa <= pc) return a;
-    if (pb <= pc) return b;
-    return c;
-  };
+  const auto stride = static_cast<std::size_t>(w) * channels;
+  const auto pad = static_cast<std::size_t>(channels);
 
   std::vector<std::uint8_t> out;
   out.reserve(static_cast<std::size_t>(h) * (stride + 1));
-  std::vector<std::uint8_t> candidate(static_cast<std::size_t>(stride));
-  std::vector<std::uint8_t> best(static_cast<std::size_t>(stride));
-  // De-interleave each raster row into a flat byte row once, instead of
-  // re-fetching every pixel 5 filters x 4 neighbors times; out-of-row
-  // neighbors (x < 0 or y < 0) read as 0, same as before.
-  std::vector<std::uint8_t> cur_row(static_cast<std::size_t>(stride));
-  std::vector<std::uint8_t> prev_row(static_cast<std::size_t>(stride), 0);
+  // Both rows carry `channels` leading zero bytes: cur[i] is then the left
+  // neighbor of byte i + channels and prev[i] its upper-left one, so the
+  // out-of-row neighbors (x < 0, and every neighbor above the first row,
+  // which prev starts as) read as 0 with no per-byte test.
+  std::vector<std::uint8_t> cur_buf(pad + stride, 0);
+  std::vector<std::uint8_t> prev_buf(pad + stride, 0);
+  // All five residual rows, filled in one pass over the row.
+  std::vector<std::uint8_t> residuals(5 * stride);
   const Pixel* px = img.pixels().data();
   for (int y = 0; y < h; ++y) {
     const Pixel* row = px + static_cast<std::size_t>(y) * w;
+    std::uint8_t* cur = cur_buf.data();
+    const std::uint8_t* prev = prev_buf.data();
     for (int x = 0; x < w; ++x) {
       const Pixel p = row[x];
-      std::uint8_t* b = &cur_row[static_cast<std::size_t>(x) * channels];
+      std::uint8_t* b = cur + pad + static_cast<std::size_t>(x) * channels;
       b[0] = p.r;
       b[1] = p.g;
       b[2] = p.b;
       if (include_alpha) b[3] = p.a;
     }
-    long best_score = -1;
-    std::uint8_t best_filter = 0;
-    for (std::uint8_t filter = 0; filter < 5; ++filter) {
-      long score = 0;
-      for (int i = 0; i < stride; ++i) {
-        const int cur = cur_row[static_cast<std::size_t>(i)];
-        const int left = i >= channels ? cur_row[static_cast<std::size_t>(i - channels)] : 0;
-        const int up = y > 0 ? prev_row[static_cast<std::size_t>(i)] : 0;
-        const int ul =
-            (i >= channels && y > 0) ? prev_row[static_cast<std::size_t>(i - channels)] : 0;
-        int predicted = 0;
-        switch (filter) {
-          case 0: predicted = 0; break;
-          case 1: predicted = left; break;
-          case 2: predicted = up; break;
-          case 3: predicted = (left + up) / 2; break;
-          default: predicted = paeth(left, up, ul); break;
-        }
-        const auto residual = static_cast<std::uint8_t>(cur - predicted);
-        candidate[static_cast<std::size_t>(i)] = residual;
-        // Standard heuristic: minimize sum of |signed residual|.
-        score += std::abs(static_cast<std::int8_t>(residual));
-      }
-      if (best_score < 0 || score < best_score) {
-        best_score = score;
-        best_filter = filter;
-        best = candidate;
-      }
+    std::uint8_t* none = residuals.data();
+    std::uint8_t* sub = none + stride;
+    std::uint8_t* upr = sub + stride;
+    std::uint8_t* avg = upr + stride;
+    std::uint8_t* paeth = avg + stride;
+    // Standard heuristic: minimize the sum of |signed residual|.
+    auto cost = [](std::uint8_t residual) { return std::abs(static_cast<std::int8_t>(residual)); };
+    long score[5] = {0, 0, 0, 0, 0};
+    for (std::size_t i = 0; i < stride; ++i) {
+      const int c = cur[pad + i];
+      const int left = cur[i];
+      const int up = prev[pad + i];
+      const int ul = prev[i];
+      const int pr = left + up - ul;
+      const int pa = std::abs(pr - left);
+      const int pb = std::abs(pr - up);
+      const int pc = std::abs(pr - ul);
+      const int pred = (pa <= pb && pa <= pc) ? left : pb <= pc ? up : ul;
+      none[i] = static_cast<std::uint8_t>(c);
+      sub[i] = static_cast<std::uint8_t>(c - left);
+      upr[i] = static_cast<std::uint8_t>(c - up);
+      avg[i] = static_cast<std::uint8_t>(c - (left + up) / 2);
+      paeth[i] = static_cast<std::uint8_t>(c - pred);
+      score[0] += cost(none[i]);
+      score[1] += cost(sub[i]);
+      score[2] += cost(upr[i]);
+      score[3] += cost(avg[i]);
+      score[4] += cost(paeth[i]);
     }
-    out.push_back(best_filter);
-    out.insert(out.end(), best.begin(), best.end());
-    std::swap(cur_row, prev_row);
+    int best = 0;  // the first minimum wins ties
+    for (int f = 1; f < 5; ++f) {
+      if (score[f] < score[best]) best = f;
+    }
+    out.push_back(static_cast<std::uint8_t>(best));
+    const std::uint8_t* chosen = residuals.data() + static_cast<std::size_t>(best) * stride;
+    out.insert(out.end(), chosen, chosen + stride);
+    std::swap(cur_buf, prev_buf);
   }
   return out;
 }

@@ -13,7 +13,11 @@ Raster::Raster(int width, int height, Pixel fill)
 }
 
 bool Raster::has_alpha() const {
-  return std::any_of(data_.begin(), data_.end(), [](const Pixel& p) { return p.a < 255; });
+  // No early exit: opaque rasters, the common case, are scanned to the end
+  // anyway, and the branch-free AND-reduce vectorizes.
+  std::uint8_t all = 255;
+  for (const Pixel& p : data_) all &= p.a;
+  return all != 255;
 }
 
 void Raster::fill_rect(int x, int y, int w, int h, Pixel p) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <type_traits>
 #include <vector>
 
@@ -222,45 +223,78 @@ void bilinear_rows(const Raster& img, int new_w, int new_h, RowSink&& sink) {
   }
 }
 
+/// A source index range [begin, end) one output column or row averages.
+struct BoxSpan {
+  int begin = 0;
+  int end = 0;
+};
+
+/// The box downscale in integer arithmetic. Per output row, every source
+/// column's four channel sums over the row span (one widening add per
+/// source byte, which vectorizes); then each output pixel sums its column
+/// span and rounds s / n half up exactly as floor((2s + n) / (2n)). That
+/// equals the double form to_u8(s / n) bit for bit: s / n + 0.5 is either
+/// an integer or at least 1 / (2n) away from one, far beyond the double
+/// rounding error. `Sum` must hold 2s + n for the largest box.
+template <class Sum>
+void box_average(const Raster& img, const std::vector<BoxSpan>& rows,
+                 const std::vector<BoxSpan>& cols, Raster& out) {
+  const auto row_bytes = static_cast<std::size_t>(img.width()) * 4;
+  const auto* src = reinterpret_cast<const std::uint8_t*>(img.pixels().data());
+  std::vector<Sum> col_sums(row_bytes);
+  Pixel* dst = out.pixels().data();
+  for (const BoxSpan& row : rows) {
+    std::fill(col_sums.begin(), col_sums.end(), Sum{0});
+    for (int yy = row.begin; yy < row.end; ++yy) {
+      const std::uint8_t* line = src + static_cast<std::size_t>(yy) * row_bytes;
+      for (std::size_t i = 0; i < row_bytes; ++i) col_sums[i] += line[i];
+    }
+    for (const BoxSpan& col : cols) {
+      Sum s[4] = {0, 0, 0, 0};
+      for (int xx = col.begin; xx < col.end; ++xx) {
+        const Sum* c = &col_sums[static_cast<std::size_t>(xx) * 4];
+        for (int k = 0; k < 4; ++k) s[k] += c[k];
+      }
+      const auto n = static_cast<Sum>(row.end - row.begin) * static_cast<Sum>(col.end - col.begin);
+      auto average = [&](int k) { return static_cast<std::uint8_t>((2 * s[k] + n) / (2 * n)); };
+      *dst++ = Pixel{average(0), average(1), average(2), average(3)};
+    }
+  }
+}
+
 }  // namespace
 
 Raster resize_box(const Raster& img, int new_w, int new_h) {
   AW4A_EXPECTS(!img.empty() && new_w > 0 && new_h > 0);
-  Raster out(new_w, new_h);
   const double sx = static_cast<double>(img.width()) / new_w;
   const double sy = static_cast<double>(img.height()) / new_h;
-  const Pixel* src = img.pixels().data();
-  const int src_w = img.width();
-  Pixel* dst = out.pixels().data();
-  for (int y = 0; y < new_h; ++y) {
-    const int y0 = static_cast<int>(y * sy);
-    const int y1 = std::max(y0 + 1, static_cast<int>((y + 1) * sy));
-    Pixel* dst_row = dst + static_cast<std::size_t>(y) * new_w;
-    for (int x = 0; x < new_w; ++x) {
-      const int x0 = static_cast<int>(x * sx);
-      const int x1 = std::max(x0 + 1, static_cast<int>((x + 1) * sx));
-      double r = 0;
-      double g = 0;
-      double b = 0;
-      double a = 0;
-      int n = 0;
-      for (int yy = y0; yy < y1 && yy < img.height(); ++yy) {
-        const Pixel* row = src + static_cast<std::size_t>(yy) * src_w;
-        for (int xx = x0; xx < x1 && xx < img.width(); ++xx) {
-          const Pixel p = row[xx];
-          r += p.r;
-          g += p.g;
-          b += p.b;
-          a += p.a;
-          ++n;
-        }
-      }
-      if (n == 0) {
-        dst_row[x] = img.at_clamped(x0, y0);
-      } else {
-        dst_row[x] = Pixel{to_u8(r / n), to_u8(g / n), to_u8(b / n), to_u8(a / n)};
-      }
+  // Output pixel (x, y) averages the source box cols[x] x rows[y]: spans
+  // clipped to the source and never empty (x0 = int(x * sx) < width for
+  // every x < new_w), each computed once.
+  auto spans = [](int count, double step, int limit) {
+    std::vector<BoxSpan> out(static_cast<std::size_t>(count));
+    for (int i = 0; i < count; ++i) {
+      const int lo = static_cast<int>(i * step);
+      const int hi = std::max(lo + 1, static_cast<int>((i + 1) * step));
+      out[static_cast<std::size_t>(i)] = {lo, std::min(hi, limit)};
     }
+    return out;
+  };
+  const std::vector<BoxSpan> cols = spans(new_w, sx, img.width());
+  const std::vector<BoxSpan> rows = spans(new_h, sy, img.height());
+  auto widest = [](const std::vector<BoxSpan>& v) {
+    int n = 0;
+    for (const BoxSpan& s : v) n = std::max(n, s.end - s.begin);
+    return static_cast<std::uint64_t>(n);
+  };
+  Raster out(new_w, new_h);
+  // The rounding numerator 2s + n is at most 511n: 32-bit sums hold every
+  // box below ~8.4M source pixels, i.e. any reduction short of a giant
+  // raster squeezed to a few pixels, which gets 64-bit sums instead.
+  if (511 * widest(rows) * widest(cols) <= UINT32_MAX) {
+    box_average<std::uint32_t>(img, rows, cols, out);
+  } else {
+    box_average<std::uint64_t>(img, rows, cols, out);
   }
   return out;
 }

@@ -160,7 +160,10 @@ ImageVariant measure_variant(const SourceImage& asset, ImageFormat format, doubl
                              int quality, const obs::RequestContext& ctx,
                              EntropyBackend backend) {
   ctx.check("imaging.measure_variant");
-  const Raster reduced = reduce_resolution(asset.original, scale);
+  const Raster reduced = [&] {
+    AW4A_SPAN(ctx, "imaging.resize");
+    return reduce_resolution(asset.original, scale);
+  }();
   Encoded enc = [&] {
     AW4A_SPAN(ctx, encode_span_name(format));
     return encode_retrying(format, reduced, quality, backend);
@@ -222,8 +225,10 @@ ImageVariant VariantLadder::finish_measurement(const Encoded& enc, ImageFormat f
   count_encode(enc);
   // What the screen shows, straight to luma: full-resolution rungs skip the
   // resample, reduced ones never materialize the redisplayed RGBA raster.
-  const PlaneF shown =
-      redisplay_luma(enc.decoded, asset_->original.width(), asset_->original.height());
+  const PlaneF shown = [&] {
+    AW4A_SPAN(ctx, "imaging.redisplay");
+    return redisplay_luma(enc.decoded, asset_->original.width(), asset_->original.height());
+  }();
   ImageVariant v;
   v.format = format;
   v.scale = scale;
@@ -309,7 +314,10 @@ void VariantLadder::enumerate_resolution(ImageFormat extra, const obs::RequestCo
     if (std::all_of(pending.begin(), pending.end(), [](const Pending& p) { return p.done; })) {
       break;
     }
-    const Raster reduced = reduce_resolution(asset_->original, s);
+    const Raster reduced = [&] {
+      AW4A_SPAN(ctx, "imaging.resize");
+      return reduce_resolution(asset_->original, s);
+    }();
     RasterPrepares prepares(reduced);
     for (Pending& p : pending) {
       if (p.done) continue;

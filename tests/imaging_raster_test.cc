@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "imaging/synth.h"
 #include "util/rng.h"
 
@@ -37,6 +39,24 @@ TEST(Raster, HasAlphaDetectsTransparency) {
   EXPECT_FALSE(opaque.has_alpha());
   opaque.at(1, 1).a = 128;
   EXPECT_TRUE(opaque.has_alpha());
+}
+
+TEST(Raster, HasAlphaSeesEveryPosition) {
+  // One translucent pixel anywhere — first, last, mid-vector, in a
+  // remainder tail — must be found; the reduction has no early exit to
+  // test, so every position is checked.
+  EXPECT_FALSE(Raster().has_alpha());
+  for (const auto& [w, h] : {std::pair{1, 1}, std::pair{7, 1}, std::pair{33, 3}}) {
+    const Raster opaque(w, h, Pixel{1, 2, 3, 255});
+    EXPECT_FALSE(opaque.has_alpha());
+    for (std::size_t i = 0; i < opaque.pixel_count(); ++i) {
+      for (const std::uint8_t a : {std::uint8_t{0}, std::uint8_t{127}, std::uint8_t{254}}) {
+        Raster img = opaque;
+        img.pixels()[i].a = a;
+        EXPECT_TRUE(img.has_alpha()) << w << "x" << h << " pixel " << i << " alpha " << int(a);
+      }
+    }
+  }
 }
 
 TEST(Raster, FillRectClips) {

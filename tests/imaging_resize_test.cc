@@ -204,5 +204,134 @@ TEST(ResizeBilinear, SeparableCoreMatchesPerPixelResample) {
   }
 }
 
+// --- Bit-identity of the integer separable box downscale ---
+
+// The per-pixel box average as it ran before the integer rewrite: every
+// output pixel re-reads its whole source box and divides a double sum. The
+// oracle resize_box must match bit for bit.
+Raster box_per_pixel(const Raster& img, int new_w, int new_h) {
+  Raster out(new_w, new_h);
+  const double sx = static_cast<double>(img.width()) / new_w;
+  const double sy = static_cast<double>(img.height()) / new_h;
+  auto to_u8 = [](double v) {
+    return static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5);
+  };
+  for (int y = 0; y < new_h; ++y) {
+    const int y0 = static_cast<int>(y * sy);
+    const int y1 = std::max(y0 + 1, static_cast<int>((y + 1) * sy));
+    for (int x = 0; x < new_w; ++x) {
+      const int x0 = static_cast<int>(x * sx);
+      const int x1 = std::max(x0 + 1, static_cast<int>((x + 1) * sx));
+      double r = 0;
+      double g = 0;
+      double b = 0;
+      double a = 0;
+      int n = 0;
+      for (int yy = y0; yy < y1 && yy < img.height(); ++yy) {
+        for (int xx = x0; xx < x1 && xx < img.width(); ++xx) {
+          const Pixel p = img.at(xx, yy);
+          r += p.r;
+          g += p.g;
+          b += p.b;
+          a += p.a;
+          ++n;
+        }
+      }
+      out.at(x, y) = n == 0 ? img.at_clamped(x0, y0)
+                            : Pixel{to_u8(r / n), to_u8(g / n), to_u8(b / n), to_u8(a / n)};
+    }
+  }
+  return out;
+}
+
+void expect_box_matches_oracle(const Raster& img, int new_w, int new_h) {
+  const Raster got = resize_box(img, new_w, new_h);
+  const Raster want = box_per_pixel(img, new_w, new_h);
+  ASSERT_EQ(got.width(), want.width());
+  ASSERT_EQ(got.height(), want.height());
+  for (std::size_t i = 0; i < want.pixels().size(); ++i) {
+    ASSERT_EQ(got.pixels()[i], want.pixels()[i])
+        << img.width() << "x" << img.height() << " -> " << new_w << "x" << new_h
+        << " at pixel " << i;
+  }
+}
+
+TEST(ResizeBox, IntegerSeparableMatchesPerPixelAverageAcrossLadderScales) {
+  // Every ladder scale, odd and even sizes, opaque and alpha sources: the
+  // reduce_resolution path the resolution rungs take.
+  Rng rng(45);
+  for (const auto& [w, h] : {std::pair{97, 61}, std::pair{64, 48}, std::pair{33, 129}}) {
+    const Raster opaque = synth_image(rng, ImageClass::kPhoto, w, h);
+    const Raster alpha = with_alpha_gradient(opaque);
+    for (const Raster* img : {&opaque, &alpha}) {
+      for (int step = 1; step <= 9; ++step) {
+        const double scale = 0.1 * step;
+        const int nw = std::max(1, static_cast<int>(std::lround(w * scale)));
+        const int nh = std::max(1, static_cast<int>(std::lround(h * scale)));
+        expect_box_matches_oracle(*img, nw, nh);
+        EXPECT_TRUE(reduce_resolution(*img, scale).pixels() == box_per_pixel(*img, nw, nh).pixels())
+            << w << "x" << h << " scale " << scale;
+      }
+    }
+  }
+}
+
+TEST(ResizeBox, IntegerSeparableMatchesPerPixelAverageOnEdgeShapes) {
+  Rng rng(46);
+  const Raster photo = with_alpha_gradient(synth_image(rng, ImageClass::kPhoto, 45, 37));
+  // Upscales (one-pixel boxes that repeat), mixed up/down, tiny targets.
+  for (const auto& [w, h] : {std::pair{90, 74}, std::pair{101, 53}, std::pair{20, 60},
+                             std::pair{7, 3}, std::pair{1, 1}, std::pair{45, 1},
+                             std::pair{1, 37}}) {
+    expect_box_matches_oracle(photo, w, h);
+  }
+  // 1xN and Nx1 sources, down and up.
+  const Raster column = with_alpha_gradient(synth_image(rng, ImageClass::kGradient, 1, 53));
+  const Raster row = with_alpha_gradient(synth_image(rng, ImageClass::kGradient, 53, 1));
+  for (const int n : {1, 5, 17, 26, 53, 80}) {
+    expect_box_matches_oracle(column, 1, n);
+    expect_box_matches_oracle(column, 3, n);
+    expect_box_matches_oracle(row, n, 1);
+    expect_box_matches_oracle(row, n, 3);
+  }
+  // Saturated channels: every box sum at its maximum and minimum.
+  const Raster white(31, 29, Pixel{255, 255, 255, 255});
+  const Raster black(31, 29, Pixel{0, 0, 0, 0});
+  for (const Raster* img : {&white, &black}) {
+    expect_box_matches_oracle(*img, 4, 3);
+    expect_box_matches_oracle(*img, 1, 1);
+  }
+}
+
+TEST(ResizeBox, GiantBoxesMatchThePerPixelAverage) {
+  // A 1x1 target of a ~8.8M-pixel source: near-white channels push the
+  // box sum's rounding numerator 2s + n past 32 bits, so the wide-sum
+  // instantiation runs; 2x1 halves the box back under the bound.
+  Raster img(4200, 2100);
+  std::uint32_t state = 12345;
+  for (Pixel& p : img.pixels()) {
+    state = state * 1664525u + 1013904223u;
+    p = Pixel{static_cast<std::uint8_t>(255 - (state >> 29)),
+              static_cast<std::uint8_t>(255 - ((state >> 13) & 3)),
+              static_cast<std::uint8_t>(state >> 24), 255};
+  }
+  expect_box_matches_oracle(img, 1, 1);
+  expect_box_matches_oracle(img, 2, 1);
+}
+
+TEST(ResizeBox, IntegerSeparableRoundsHalvesLikeThePerPixelAverage) {
+  // Two-pixel boxes whose averages land exactly on .5 in every channel, and
+  // three-pixel boxes that land a third away: the rounding boundary cases.
+  Raster img(6, 1);
+  const Pixel values[] = {{0, 1, 254, 0},   {1, 2, 255, 255}, {10, 11, 12, 13},
+                          {11, 12, 13, 14}, {100, 0, 0, 1},   {101, 255, 1, 0}};
+  for (int x = 0; x < 6; ++x) img.at(x, 0) = values[x];
+  expect_box_matches_oracle(img, 3, 1);
+  expect_box_matches_oracle(img, 2, 1);
+  expect_box_matches_oracle(img, 4, 1);
+  const Raster half = resize_box(img, 3, 1);
+  EXPECT_EQ(half.at(0, 0), (Pixel{1, 2, 255, 128}));  // (0+1)/2 etc. round half up
+}
+
 }  // namespace
 }  // namespace aw4a::imaging
