@@ -22,11 +22,11 @@
 // counters), so the pass runs strictly serially: one request per site, no
 // queue, prewarm pinned to one worker — the numbers are a deterministic
 // function of the corpus. Prewarm is ON in both modes on purpose: a store
-// miss warms the *full* family set (that is what a later hit adopts), so the
-// fair baseline is the prewarmed cold build that enumerates the same set.
-// Without prewarm the lazy path builds only the families the solvers happen
-// to demand, and the store's first-build warming would be charged for
-// families the baseline never paid for.
+// miss warms the site's whole ladder family set (that is what a later hit
+// adopts), so the fair baseline is the prewarmed cold build that enumerates
+// the same set. Without prewarm the lazy path builds only the rungs the
+// solvers happen to demand, and the store's first-build warming would be
+// charged for rungs the baseline never paid for.
 //
 // Exit status is the acceptance check (run by tier1.sh): non-zero when the
 // 30% row saves less than 20% of bytes built or of cold-build time, or when
@@ -152,7 +152,7 @@ ColdPassResult run_cold_pass(const std::vector<serving::OriginSite>& sites, bool
   for (int repeat = 0; repeat < options.repeat; ++repeat) {
     serving::OriginOptions origin_options;
     origin_options.build_queue_enabled = false;
-    origin_options.prewarm_workers = 1;  // full family set in both modes, serially
+    origin_options.prewarm_workers = 1;  // same family set in both modes, serially
     origin_options.asset_store_enabled = dedup;
     const serving::OriginServer origin(sites, std::move(origin_options));
 

@@ -17,8 +17,9 @@ double weighted_quality(std::span<const ObjectiveTerm> terms) {
   return num / den;
 }
 
-LadderCache::LadderCache(imaging::LadderOptions options, imaging::AssetLadderSource* assets)
-    : options_(std::move(options)), assets_(assets) {}
+LadderCache::LadderCache(imaging::LadderOptions options, imaging::AssetLadderSource* assets,
+                         imaging::LadderFamilies families)
+    : options_(std::move(options)), assets_(assets), families_(families) {}
 
 LadderCache::Slot& LadderCache::slot_for(const web::WebObject& object) {
   AW4A_EXPECTS(object.type == web::ObjectType::kImage);
@@ -27,7 +28,8 @@ LadderCache::Slot& LadderCache::slot_for(const web::WebObject& object) {
   if (it != ladders_.end()) return it->second;
   return ladders_
       .emplace(std::piecewise_construct, std::forward_as_tuple(object.id),
-               std::forward_as_tuple(imaging::VariantLadder(object.image, options_)))
+               std::forward_as_tuple(
+                   imaging::VariantLadder(object.image, options_, families_)))
       .first->second;
 }
 
@@ -39,7 +41,7 @@ imaging::VariantLadder& LadderCache::ladder_for(const web::WebObject& object,
     // (bit-identical to local enumeration for exact hits), a miss — or a
     // store failure, which surfaces as nullptr — leaves the ladder lazy.
     slot.probed = true;
-    if (const auto memo = assets_->acquire(object.image, options_, ctx)) {
+    if (const auto memo = assets_->acquire(object.image, options_, families_, ctx)) {
       slot.ladder.adopt(*memo);
     }
   }
@@ -67,7 +69,8 @@ void LadderCache::prewarm(const web::WebPage& page, const obs::RequestContext& c
           try {
             if (assets_ != nullptr && !slot.probed) {
               slot.probed = true;
-              if (const auto memo = assets_->acquire(images[i]->image, options_, ctx)) {
+              if (const auto memo =
+                      assets_->acquire(images[i]->image, options_, families_, ctx)) {
                 ladder.adopt(*memo);
               }
             }

@@ -54,10 +54,15 @@ struct TranscodeResult {
 /// *content* and adopts the shared memo on a hit, so an asset another site
 /// already built skips enumeration entirely. The probe happens once per
 /// object (hit or miss); a nullptr result just leaves the ladder lazy.
+///
+/// `families` is the solver's move set (Aw4aPipeline::ladder_families): every
+/// ladder, prewarm and asset-source probe measures that set eagerly, and any
+/// other family only if a caller reads it.
 class LadderCache {
  public:
   explicit LadderCache(imaging::LadderOptions options = {},
-                       imaging::AssetLadderSource* assets = nullptr);
+                       imaging::AssetLadderSource* assets = nullptr,
+                       imaging::LadderFamilies families = {});
 
   /// Ladder for an image object (requires object.image != nullptr). The
   /// context feeds the asset-source probe (spans, deadline union) — callers
@@ -66,10 +71,9 @@ class LadderCache {
       const web::WebObject& object,
       const obs::RequestContext& ctx = obs::RequestContext::none());
 
-  /// Enumerates every rich image's variant families (both formats' resolution
-  /// and quality ladders plus the WebP transcode, via VariantLadder::warm())
-  /// across ctx.workers() threads, so the serial solvers that follow hit a
-  /// fully memoized cache.
+  /// Enumerates every rich image's variant families (the cache's families,
+  /// via VariantLadder::warm()) across ctx.workers() threads, so the serial
+  /// solvers that follow hit a fully memoized cache.
   /// Safe because each asset's ladder is independent: ladders are *created*
   /// serially up front, then each worker fills exactly one ladder. Enumeration
   /// failures (injected codec faults, an expired ctx deadline) are swallowed —
@@ -111,6 +115,7 @@ class LadderCache {
 
   imaging::LadderOptions options_;
   imaging::AssetLadderSource* assets_ = nullptr;
+  imaging::LadderFamilies families_;
   std::map<std::uint64_t, Slot> ladders_;
 };
 

@@ -39,6 +39,11 @@ imaging::LadderOptions Aw4aPipeline::ladder_options() const {
   return options;
 }
 
+imaging::LadderFamilies Aw4aPipeline::ladder_families() const {
+  const bool grid = config_.stage2 == DeveloperConfig::Stage2::kGridSearch;
+  return imaging::LadderFamilies{.resolution = !grid, .quality = grid};
+}
+
 obs::RequestContext Aw4aPipeline::make_context() const {
   obs::RequestContext ctx;
   if (config_.stage2_deadline_seconds >= 0.0) {
@@ -62,7 +67,7 @@ TranscodeResult Aw4aPipeline::transcode_to_target(const web::WebPage& page, Byte
 
 TranscodeResult Aw4aPipeline::transcode_to_target(const web::WebPage& page, Bytes target_bytes,
                                                   const obs::RequestContext& ctx) const {
-  LadderCache ladders(ladder_options());
+  LadderCache ladders(ladder_options(), nullptr, ladder_families());
   return transcode_to_target(page, target_bytes, ladders, ctx);
 }
 
@@ -192,7 +197,7 @@ std::vector<Tier> Aw4aPipeline::build_tiers(const web::WebPage& page,
   // across threads first; failures are absorbed (see LadderCache::prewarm),
   // so the per-tier retry/degradation ladder below behaves exactly as it
   // would on a cold cache.
-  LadderCache ladders(ladder_options(), assets);
+  LadderCache ladders(ladder_options(), assets, ladder_families());
   if (ctx.workers() > 0) {
     ladders.prewarm(page, ctx);
   }

@@ -154,6 +154,15 @@ class Aw4aPipeline {
   /// must be built with exactly these options.
   imaging::LadderOptions ladder_options() const;
 
+  /// The ladder families this config's Stage-2 solver reads, derived from
+  /// `stage2` here and nowhere else: HBS walks the resolution ladder, Grid
+  /// Search the quality ladder, and both read the WebP transcode (Stage-1
+  /// and RBR's WebP pass). Every LadderCache the pipeline builds — and so
+  /// every prewarm and asset-store warm — measures exactly this set; a
+  /// family outside it is measured only if something reads it, so tiers are
+  /// bit-identical to an all-families build.
+  imaging::LadderFamilies ladder_families() const;
+
   /// Target from the PAW index of a country/plan: the page shrinks to 1/PAW
   /// of its own size (no-op when PAW <= 1).
   TranscodeResult transcode_for_country(const web::WebPage& page,

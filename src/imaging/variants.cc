@@ -138,8 +138,9 @@ SourceImage make_source_image(Rng& rng, ImageClass cls, Bytes target_wire_bytes)
   return asset;
 }
 
-VariantLadder::VariantLadder(std::shared_ptr<const SourceImage> asset, LadderOptions options)
-    : asset_(std::move(asset)), options_(std::move(options)) {
+VariantLadder::VariantLadder(std::shared_ptr<const SourceImage> asset, LadderOptions options,
+                             LadderFamilies families)
+    : asset_(std::move(asset)), options_(std::move(options)), families_(families) {
   AW4A_EXPECTS(asset_ != nullptr);
   AW4A_EXPECTS(options_.scale_granularity > 0.0 && options_.scale_granularity < 1.0);
   AW4A_EXPECTS(options_.min_scale > 0.0 && options_.min_scale < 1.0);
@@ -268,7 +269,7 @@ std::vector<ImageFormat> VariantLadder::family_formats(ImageFormat extra) const 
   return formats;
 }
 
-void VariantLadder::enumerate_full_resolution(ImageFormat extra,
+void VariantLadder::enumerate_full_resolution(ImageFormat extra, bool quality,
                                               const obs::RequestContext& ctx) {
   // Enumerated into locals first: a deadline or fault thrown mid-pass leaves
   // every slot unset, so a later call re-enumerates the full pass instead of
@@ -283,7 +284,9 @@ void VariantLadder::enumerate_full_resolution(ImageFormat extra,
     webp->kind = DegradationKind::kTranscode;
   }
   std::optional<std::vector<ImageVariant>> families[3];
-  for (const ImageFormat format : family_formats(extra)) {
+  const std::vector<ImageFormat> formats =
+      quality ? family_formats(extra) : std::vector<ImageFormat>{};
+  for (const ImageFormat format : formats) {
     if (qual_family_[format_index(format)]) continue;
     std::vector<ImageVariant>& family = families[format_index(format)].emplace();
     if (format == ImageFormat::kPng) continue;  // PNG is lossless: no quality knob
@@ -340,12 +343,12 @@ const std::vector<ImageVariant>& VariantLadder::resolution_family(
 const std::vector<ImageVariant>& VariantLadder::quality_family(ImageFormat format,
                                                                const obs::RequestContext& ctx) {
   auto& slot = qual_family_[format_index(format)];
-  if (!slot) enumerate_full_resolution(format, ctx);
+  if (!slot) enumerate_full_resolution(format, /*quality=*/true, ctx);
   return *slot;
 }
 
 const ImageVariant& VariantLadder::webp_full(const obs::RequestContext& ctx) {
-  if (!webp_full_) enumerate_full_resolution(asset_->format, ctx);
+  if (!webp_full_) enumerate_full_resolution(asset_->format, families_.quality, ctx);
   return *webp_full_;
 }
 
@@ -416,8 +419,8 @@ void VariantLadder::adopt(const VariantMemo& memo) {
 }
 
 void VariantLadder::warm(const obs::RequestContext& ctx) {
-  enumerate_full_resolution(asset_->format, ctx);
-  enumerate_resolution(asset_->format, ctx);
+  enumerate_full_resolution(asset_->format, families_.quality, ctx);
+  if (families_.resolution) enumerate_resolution(asset_->format, ctx);
 }
 
 std::vector<ImageVariant> VariantLadder::all_variants() const {

@@ -11,7 +11,10 @@
 //   - the quality family (Grid Search's SSIM-level versions),
 //   - the full-resolution WebP transcode (Stage-1's PNG->WebP rule),
 // measuring real (bytes, SSIM-after-redisplay) for each. Results are memoized
-// per asset, so repeated optimizer passes are cheap.
+// per asset, so repeated optimizer passes are cheap. A ladder's
+// LadderFamilies say which of the resolution and quality families it
+// measures eagerly (warm(), the joint full-resolution pass) beside the
+// always-warmed transcode; any family is still measured on first read.
 #pragma once
 
 #include <memory>
@@ -131,11 +134,29 @@ ImageVariant placeholder_variant(const SourceImage& asset, const LadderOptions& 
 /// deterministic so renderer-based QFS comparisons are stable.
 Raster render_placeholder(const SourceImage& asset, std::size_t alt_text_chars);
 
+/// The rung families a ladder measures eagerly — a solver's move set. RBR/HBS
+/// walks the resolution ladder (Algorithm 1), Grid Search lowers quality at
+/// the original dimensions (§7.1); the WebP transcode (which Stage-1 reads
+/// under either) is always warmed. The set decides only *whether and when* a
+/// family is measured: every family is a deterministic function of (asset,
+/// options), and a family read outside the set is measured lazily, so results
+/// never depend on the set. Defaults to every family.
+struct LadderFamilies {
+  bool resolution = true;  ///< resolution_family of the standard formats
+  bool quality = true;     ///< quality_family of the standard formats
+
+  bool operator==(const LadderFamilies&) const = default;
+  /// One bit per family (the asset store mixes it into its recipe).
+  std::uint64_t bits() const { return (resolution ? 1u : 0u) | (quality ? 2u : 0u); }
+};
+
 /// A portable snapshot of a VariantLadder's memoized families — what the
-/// serving asset store shares across sites. Slots are optional per family:
-/// adopting a partial memo is sound because an unset slot simply enumerates
-/// lazily (and enumeration is deterministic, so a slot filled locally equals
-/// the slot a warmer ladder would have shared).
+/// serving asset store shares across sites. Slots are optional per family: a
+/// ladder warmed under a partial LadderFamilies leaves the other slots unset
+/// (an HBS memo carries no quality family). Adopting a partial memo is sound
+/// because an unset slot simply enumerates lazily (and enumeration is
+/// deterministic, so a slot filled locally equals the slot a warmer ladder
+/// would have shared).
 struct VariantMemo {
   std::optional<std::vector<ImageVariant>> res_family[3];
   std::optional<std::vector<ImageVariant>> qual_family[3];
@@ -171,7 +192,10 @@ ImageVariant measure_variant(const SourceImage& asset, ImageFormat format, doubl
 /// Lazily enumerated, memoized variant space for one asset.
 class VariantLadder {
  public:
-  VariantLadder(std::shared_ptr<const SourceImage> asset, LadderOptions options = {});
+  /// `families` picks what warm() and the joint full-resolution pass measure
+  /// eagerly; it never changes a measured value.
+  VariantLadder(std::shared_ptr<const SourceImage> asset, LadderOptions options = {},
+                LadderFamilies families = {});
 
   const SourceImage& asset() const { return *asset_; }
   const LadderOptions& options() const { return options_; }
@@ -197,12 +221,16 @@ class VariantLadder {
   /// Codec::prepare() of the full-resolution raster with webp_full and the
   /// other quality family (enumerate_full_resolution), so the forward DCT
   /// runs once per ladder for an opaque source; outputs are bit-identical to
-  /// per-rung single-shot encodes.
+  /// per-rung single-shot encodes. On a ladder whose families exclude
+  /// quality, the first read runs its own pass (webp_full, if already
+  /// measured, is not re-measured).
   const std::vector<ImageVariant>& quality_family(
       ImageFormat format, const obs::RequestContext& ctx = obs::RequestContext::none());
 
   /// Full-resolution WebP transcode at ship quality (lossless WebP for PNG
-  /// sources, lossy otherwise).
+  /// sources, lossy otherwise). Measured in the joint full-resolution pass,
+  /// which also fills the quality families only when the ladder's families
+  /// include them; alone, it is one rung.
   const ImageVariant& webp_full(const obs::RequestContext& ctx = obs::RequestContext::none());
 
   /// Cheapest enumerated variant (across both families and formats plus the
@@ -237,11 +265,13 @@ class VariantLadder {
   /// options match this ladder's (the asset store keys on exactly that).
   void adopt(const VariantMemo& memo);
 
-  /// Enumerates the five standard families (the WebP transcode plus both
-  /// formats' resolution and quality families) — what the asset store and
-  /// core::LadderCache::prewarm fill. Runs the same two joint passes the
-  /// lazy accessors do, and propagates failures: a store warming an entry
-  /// must know the memo is complete before sharing it.
+  /// Enumerates the WebP transcode, plus both standard formats' quality
+  /// families when the set holds quality (one joint full-resolution pass)
+  /// and both standard formats' resolution families when it holds
+  /// resolution — what the asset store and core::LadderCache::prewarm fill.
+  /// Runs the same passes the lazy accessors do, and propagates failures: a
+  /// store warming an entry must know the memo holds the whole set before
+  /// sharing it.
   void warm(const obs::RequestContext& ctx = obs::RequestContext::none());
 
   /// Re-creates the decoded, redisplayed raster of a variant (used by the
@@ -270,11 +300,13 @@ class VariantLadder {
   /// when a caller asks for a family outside that pair.
   std::vector<ImageFormat> family_formats(ImageFormat extra) const;
 
-  /// Fills every unset full-resolution slot in one pass over the original:
-  /// webp_full plus the quality family of each family_formats(extra) entry.
-  /// The slots share the pass's prepares, so an opaque original runs one
-  /// forward transform for all of them. Aborted passes memoize nothing.
-  void enumerate_full_resolution(ImageFormat extra, const obs::RequestContext& ctx);
+  /// Fills the unset full-resolution slots in one pass over the original:
+  /// webp_full, plus — when `quality` — the quality family of each
+  /// family_formats(extra) entry. The slots share the pass's prepares, so an
+  /// opaque original runs one forward transform for all of them. Aborted
+  /// passes memoize nothing.
+  void enumerate_full_resolution(ImageFormat extra, bool quality,
+                                 const obs::RequestContext& ctx);
 
   /// Fills every unset resolution family of family_formats(extra) in one
   /// pass, scale by scale: each scale's reduced raster (and, for an opaque
@@ -288,6 +320,7 @@ class VariantLadder {
 
   std::shared_ptr<const SourceImage> asset_;
   LadderOptions options_;
+  LadderFamilies families_;
   mutable std::optional<SsimReference> reference_;
   std::optional<std::vector<ImageVariant>> res_family_[3];
   std::optional<std::vector<ImageVariant>> qual_family_[3];
@@ -298,15 +331,16 @@ class VariantLadder {
 /// by serving::AssetStore and threaded (as a nullable pointer) through
 /// core::LadderCache, so the optimizer layer can consume cross-site dedup
 /// without depending on the serving layer. acquire() returns the memo for
-/// this asset under these options (building and caching it if needed), or
-/// nullptr when the source cannot help (store failure, budget exhausted) —
-/// callers then fall back to plain lazy enumeration.
+/// this asset under these options and families (building and caching it if
+/// needed), or nullptr when the source cannot help (store failure, budget
+/// exhausted) — callers then fall back to plain lazy enumeration. The memo
+/// holds at least `families`, the set the caller's solver reads.
 class AssetLadderSource {
  public:
   virtual ~AssetLadderSource() = default;
   virtual std::shared_ptr<const VariantMemo> acquire(
       const std::shared_ptr<const SourceImage>& asset, const LadderOptions& options,
-      const obs::RequestContext& ctx) = 0;
+      const LadderFamilies& families, const obs::RequestContext& ctx) = 0;
 };
 
 }  // namespace aw4a::imaging

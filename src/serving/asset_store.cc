@@ -87,7 +87,8 @@ void AssetStore::admit(Shard& shard, const AssetKey& key, std::uint64_t ahash,
 
 AssetStore::MemoPtr AssetStore::acquire(
     const std::shared_ptr<const imaging::SourceImage>& asset,
-    const imaging::LadderOptions& options, const obs::RequestContext& ctx) {
+    const imaging::LadderOptions& options, const imaging::LadderFamilies& families,
+    const obs::RequestContext& ctx) {
   AW4A_EXPECTS(asset != nullptr);
   try {
     AW4A_FAULT_POINT("serving.asset.store");
@@ -97,8 +98,13 @@ AssetStore::MemoPtr AssetStore::acquire(
     {
       AW4A_SPAN(ctx, "serving.asset.fingerprint");
       content = imaging::asset_fingerprint(*asset);
-      recipe = hash_mix(imaging::asset_shape_fingerprint(*asset),
-                        imaging::ladder_options_fingerprint(options));
+      // The family set is part of the recipe: an HBS memo lacks the quality
+      // families a Grid Search ladder reads (and vice versa), so the two are
+      // separate entries, built by separate flights and never semantic
+      // matches of each other.
+      recipe = hash_mix(hash_mix(imaging::asset_shape_fingerprint(*asset),
+                                 imaging::ladder_options_fingerprint(options)),
+                        families.bits());
       ahash = imaging::average_hash(asset->original);
     }
     const AssetKey key{content, recipe};
@@ -155,7 +161,7 @@ AssetStore::MemoPtr AssetStore::acquire(
       ++shard.counters.misses;
     }
 
-    // Cold content: warm the full family set once per content key. The
+    // Cold content: warm the requested families once per key. The
     // flight collapses concurrent builds of the same content from *any*
     // page identity, and the leader builds under the union of every
     // waiter's deadline (joiners CAS-max theirs in).
@@ -172,7 +178,7 @@ AssetStore::MemoPtr AssetStore::acquire(
           MemoPtr memo;
           {
             AW4A_SPAN(ctx, "serving.asset.build");
-            imaging::VariantLadder ladder(asset, options);
+            imaging::VariantLadder ladder(asset, options, families);
             ladder.warm(build_ctx);
             memo = std::make_shared<const imaging::VariantMemo>(ladder.snapshot());
           }

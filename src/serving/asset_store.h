@@ -13,9 +13,9 @@
 // consults the store per image before encoding anything; a hit adopts the
 // shared memo (bit-identical results for exact hits — enumeration is a
 // deterministic function of the fingerprinted inputs), a miss builds the
-// full family set once, under a SingleFlight keyed by the *content* key, so
-// two cold sites sharing assets do the DCT/encode work once even when their
-// requests race.
+// requested family set (the caller's solver move set) once, under a
+// SingleFlight keyed by the *content* key, so two cold sites sharing assets
+// do the DCT/encode work once even when their requests race.
 //
 // Concurrency: sharded like TierCache (mutex + byte-budget LRU + per-shard
 // counters per shard). The shard index is derived from the perceptual hash
@@ -52,8 +52,9 @@
 namespace aw4a::serving {
 
 /// The store key: exact content fingerprint + "recipe" (asset shape +
-/// LadderOptions fingerprints). Two identical rasters under different ladder
-/// options or byte calibrations never share an entry.
+/// LadderOptions fingerprints + LadderFamilies bits). Two identical rasters
+/// under different ladder options, byte calibrations or family sets never
+/// share an entry.
 struct AssetKey {
   std::uint64_t content = 0;
   std::uint64_t recipe = 0;
@@ -108,6 +109,7 @@ class AssetStore : public imaging::AssetLadderSource {
   /// "serving.asset.build" spans; never throws (nullptr on any failure).
   MemoPtr acquire(const std::shared_ptr<const imaging::SourceImage>& asset,
                   const imaging::LadderOptions& options,
+                  const imaging::LadderFamilies& families,
                   const obs::RequestContext& ctx) override;
 
   AssetStoreStats stats() const;  ///< summed over shards

@@ -259,6 +259,62 @@ TEST_P(JointEnumerationTest, PartialAdoptFillsOnlyTheMissingSlots) {
   }
 }
 
+TEST_P(JointEnumerationTest, FamilySetsMeasureOnlyTheirFamiliesBitForBit) {
+  // A ladder warms exactly its LadderFamilies; every family it does measure
+  // (and every family read outside the set, lazily) equals the all-families
+  // joint enumeration bit for bit.
+  constexpr LadderFamilies kTranscodeOnly{.resolution = false, .quality = false};
+  constexpr LadderFamilies kHbs{.resolution = true, .quality = false};
+  constexpr LadderFamilies kGrid{.resolution = false, .quality = true};
+  for (const auto& [name, asset] : joint_sources()) {
+    VariantLadder all(asset, options());
+    all.warm();
+    const VariantMemo joint = all.snapshot();
+    ASSERT_TRUE(joint.webp_full.has_value()) << name;
+
+    // A lone transcode rung: one encode, the jointly enumerated value.
+    reset_build_work_stats();
+    VariantLadder transcode(asset, options(), kTranscodeOnly);
+    const ImageVariant webp = transcode.webp_full();
+    EXPECT_EQ(build_work_stats().encodes, 1u) << name;
+    EXPECT_LE(build_work_stats().prepares, 1u) << name;
+    expect_same_variants({webp}, {*joint.webp_full}, name + " transcode-only webp_full");
+    transcode.warm();  // nothing left to measure
+    EXPECT_EQ(build_work_stats().encodes, 1u) << name;
+
+    for (const LadderFamilies families : {kTranscodeOnly, kHbs, kGrid}) {
+      const std::string what = name + " families " + std::to_string(families.bits());
+      VariantLadder ladder(asset, options(), families);
+      ladder.warm();
+      const VariantMemo memo = ladder.snapshot();
+      ASSERT_TRUE(memo.webp_full.has_value()) << what;
+      expect_same_variants({*memo.webp_full}, {*joint.webp_full}, what + " webp_full");
+      for (std::size_t f = 0; f < 3; ++f) {
+        EXPECT_EQ(memo.res_family[f].has_value(),
+                  families.resolution && joint.res_family[f].has_value())
+            << what;
+        EXPECT_EQ(memo.qual_family[f].has_value(),
+                  families.quality && joint.qual_family[f].has_value())
+            << what;
+        if (memo.res_family[f]) {
+          expect_same_variants(*memo.res_family[f], *joint.res_family[f], what + " res");
+        }
+        if (memo.qual_family[f]) {
+          expect_same_variants(*memo.qual_family[f], *joint.qual_family[f], what + " qual");
+        }
+      }
+      // Families outside the set are still measured on first read.
+      for (const ImageFormat f : {asset->format, ImageFormat::kWebp}) {
+        const auto i = static_cast<std::size_t>(f);
+        expect_same_variants(ladder.resolution_family(f), *joint.res_family[i],
+                             what + " lazy res");
+        expect_same_variants(ladder.quality_family(f), *joint.qual_family[i],
+                             what + " lazy qual");
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, JointEnumerationTest,
                          ::testing::Values(EntropyBackend::kHuffman, EntropyBackend::kRans),
                          [](const auto& info) { return std::string(to_string(info.param)); });

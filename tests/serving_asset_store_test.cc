@@ -3,7 +3,8 @@
 //   - exact-fingerprint hits share one build and one memo (bit-identical
 //     families, zero re-encodes),
 //   - the semantic probe collapses near-duplicates but never crosses recipe
-//     or content boundaries it shouldn't,
+//     or content boundaries it shouldn't (the ladder family set is part of
+//     the recipe, so an HBS and a Grid Search memo of one asset never mix),
 //   - eviction keeps the perceptual index exact (a probe can never surface
 //     an evicted entry),
 //   - concurrent acquires of one content key collapse to one build with no
@@ -29,7 +30,14 @@ namespace aw4a::serving {
 namespace {
 
 using imaging::ImageClass;
+using imaging::LadderFamilies;
 using imaging::SourceImage;
+
+/// Every family (the ladder default), and the two solvers' move sets
+/// (core::Aw4aPipeline::ladder_families).
+constexpr LadderFamilies kAll{};
+constexpr LadderFamilies kHbs{.resolution = true, .quality = false};
+constexpr LadderFamilies kGrid{.resolution = false, .quality = true};
 
 std::shared_ptr<const SourceImage> make_asset(std::uint64_t seed, Bytes wire = 60 * kKB) {
   Rng rng(seed);
@@ -68,7 +76,7 @@ TEST(AssetStore, ExactHitSharesOneBuildAndOneMemo) {
   const imaging::LadderOptions options;
 
   imaging::reset_build_work_stats();
-  const auto first = store.acquire(asset, options, obs::RequestContext::none());
+  const auto first = store.acquire(asset, options, kAll, obs::RequestContext::none());
   ASSERT_NE(first, nullptr);
   const auto built = imaging::build_work_stats().encodes;
   EXPECT_GT(built, 0u);
@@ -76,7 +84,7 @@ TEST(AssetStore, ExactHitSharesOneBuildAndOneMemo) {
   // Same content from a different page identity: exact hit, no new encodes,
   // the very same memo object.
   const auto second =
-      store.acquire(same_content_other_page(asset), options, obs::RequestContext::none());
+      store.acquire(same_content_other_page(asset), options, kAll, obs::RequestContext::none());
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(imaging::build_work_stats().encodes, built);
@@ -93,14 +101,17 @@ TEST(AssetStore, ExactHitSharesOneBuildAndOneMemo) {
   expect_partition(s);
 }
 
-TEST(AssetStore, AcquiredMemoMatchesLocalEnumerationBitForBit) {
+/// The store's memo for one family set against a local ladder warmed with
+/// the same set: a memo holds exactly the families its recipe asked for,
+/// each bit-identical to local enumeration.
+void expect_acquired_memo_matches_local(const LadderFamilies& families) {
   AssetStore store;
   const auto asset = make_asset(2);
   const imaging::LadderOptions options;
-  const auto memo = store.acquire(asset, options, obs::RequestContext::none());
+  const auto memo = store.acquire(asset, options, families, obs::RequestContext::none());
   ASSERT_NE(memo, nullptr);
 
-  imaging::VariantLadder local(asset, options);
+  imaging::VariantLadder local(asset, options, families);
   local.warm();
   const imaging::VariantMemo reference = local.snapshot();
   ASSERT_TRUE(memo->webp_full.has_value());
@@ -127,15 +138,23 @@ TEST(AssetStore, AcquiredMemoMatchesLocalEnumerationBitForBit) {
   }
 }
 
+TEST(AssetStore, AcquiredMemoMatchesLocalEnumerationBitForBit) {
+  for (const LadderFamilies& families : {kAll, kHbs, kGrid}) {
+    SCOPED_TRACE(families.bits());
+    expect_acquired_memo_matches_local(families);
+  }
+}
+
 TEST(AssetStore, SemanticHitCollapsesNearDuplicates) {
   AssetStore store;
   const auto asset = make_asset(3);
   const imaging::LadderOptions options;
-  const auto first = store.acquire(asset, options, obs::RequestContext::none());
+  const auto first = store.acquire(asset, options, kAll, obs::RequestContext::none());
   ASSERT_NE(first, nullptr);
 
   imaging::reset_build_work_stats();
-  const auto dup = store.acquire(near_duplicate(asset), options, obs::RequestContext::none());
+  const auto dup =
+      store.acquire(near_duplicate(asset), options, kAll, obs::RequestContext::none());
   ASSERT_NE(dup, nullptr);
   EXPECT_EQ(first.get(), dup.get()) << "a near-duplicate shares the resident memo";
   EXPECT_EQ(imaging::build_work_stats().encodes, 0u);
@@ -161,8 +180,8 @@ TEST(AssetStore, SemanticHitRespectsTheSsimThreshold) {
 
   AssetStore store(opts);
   const imaging::LadderOptions options;
-  ASSERT_NE(store.acquire(asset, options, obs::RequestContext::none()), nullptr);
-  ASSERT_NE(store.acquire(dup, options, obs::RequestContext::none()), nullptr);
+  ASSERT_NE(store.acquire(asset, options, kAll, obs::RequestContext::none()), nullptr);
+  ASSERT_NE(store.acquire(dup, options, kAll, obs::RequestContext::none()), nullptr);
   EXPECT_EQ(store.stats().semantic_hits, 1u);
 }
 
@@ -170,8 +189,9 @@ TEST(AssetStore, SemanticOffBuildsNearDuplicatesSeparately) {
   AssetStore store(AssetStoreOptions{.semantic_enabled = false});
   const auto asset = make_asset(3);
   const imaging::LadderOptions options;
-  const auto first = store.acquire(asset, options, obs::RequestContext::none());
-  const auto dup = store.acquire(near_duplicate(asset), options, obs::RequestContext::none());
+  const auto first = store.acquire(asset, options, kAll, obs::RequestContext::none());
+  const auto dup =
+      store.acquire(near_duplicate(asset), options, kAll, obs::RequestContext::none());
   ASSERT_NE(first, nullptr);
   ASSERT_NE(dup, nullptr);
   EXPECT_NE(first.get(), dup.get());
@@ -190,8 +210,8 @@ TEST(AssetStore, DistinctContentAndRecipesNeverShare) {
   const imaging::LadderOptions options;
 
   // Different content: both build.
-  const auto a = store.acquire(asset, options, obs::RequestContext::none());
-  const auto b = store.acquire(make_asset(6), options, obs::RequestContext::none());
+  const auto a = store.acquire(asset, options, kAll, obs::RequestContext::none());
+  const auto b = store.acquire(make_asset(6), options, kAll, obs::RequestContext::none());
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a.get(), b.get());
@@ -200,7 +220,7 @@ TEST(AssetStore, DistinctContentAndRecipesNeverShare) {
   // across LadderOptions would hand a solver families it never asked for.
   imaging::LadderOptions coarse = options;
   coarse.scale_granularity = 0.25;
-  const auto c = store.acquire(asset, coarse, obs::RequestContext::none());
+  const auto c = store.acquire(asset, coarse, kAll, obs::RequestContext::none());
   ASSERT_NE(c, nullptr);
   EXPECT_NE(a.get(), c.get());
 
@@ -212,6 +232,53 @@ TEST(AssetStore, DistinctContentAndRecipesNeverShare) {
   expect_partition(s);
 }
 
+TEST(AssetStore, FamilySetsAreSeparateEntriesAndFlights) {
+  AssetStore store;
+  const auto asset = make_asset(15);
+  const imaging::LadderOptions options;
+
+  const auto hbs = store.acquire(asset, options, kHbs, obs::RequestContext::none());
+  const auto grid =
+      store.acquire(same_content_other_page(asset), options, kGrid, obs::RequestContext::none());
+  ASSERT_NE(hbs, nullptr);
+  ASSERT_NE(grid, nullptr);
+  EXPECT_NE(hbs.get(), grid.get()) << "one content, two recipes: two entries";
+  for (std::size_t f = 0; f < 3; ++f) {
+    EXPECT_FALSE(hbs->qual_family[f].has_value()) << "an HBS memo measures no quality rung";
+    EXPECT_FALSE(grid->res_family[f].has_value()) << "a Grid memo measures no resolution rung";
+  }
+  // A near-duplicate under either set matches only its own set's entry.
+  EXPECT_EQ(store.acquire(near_duplicate(asset), options, kGrid, obs::RequestContext::none())
+                .get(),
+            grid.get());
+  EXPECT_EQ(store.acquire(near_duplicate(asset), options, kHbs, obs::RequestContext::none())
+                .get(),
+            hbs.get());
+
+  const AssetStoreStats s = store.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.semantic_hits, 2u);
+  EXPECT_EQ(s.exact_hits, 0u);
+  EXPECT_EQ(s.inserts, 2u);
+  EXPECT_EQ(s.resident_entries, 2u);
+  EXPECT_EQ(store.flight_stats().leads, 2u);
+  EXPECT_EQ(store.flight_stats().joins, 0u);
+  expect_partition(s);
+
+  // An entry of one set is never a semantic match for the other: a store
+  // holding only the HBS memo misses a Grid probe of a near-duplicate.
+  AssetStore hbs_only;
+  ASSERT_NE(hbs_only.acquire(asset, options, kHbs, obs::RequestContext::none()), nullptr);
+  const auto cross =
+      hbs_only.acquire(near_duplicate(asset), options, kGrid, obs::RequestContext::none());
+  ASSERT_NE(cross, nullptr);
+  EXPECT_TRUE(cross->qual_family[static_cast<std::size_t>(asset->format)].has_value());
+  EXPECT_EQ(hbs_only.stats().semantic_hits, 0u);
+  EXPECT_EQ(hbs_only.stats().probes, 0u) << "the same-recipe filter skips the HBS entry";
+  EXPECT_EQ(hbs_only.stats().misses, 2u);
+  expect_partition(hbs_only.stats());
+}
+
 TEST(AssetStore, FailedBuildReturnsNullAndCountsTheFailure) {
   AssetStore store;
   std::atomic<double> now{0.0};
@@ -221,7 +288,7 @@ TEST(AssetStore, FailedBuildReturnsNullAndCountsTheFailure) {
           .with_deadline_after(0.4);
   now.store(1.0);  // the budget is gone before the warming build starts
 
-  const auto memo = store.acquire(make_asset(7), imaging::LadderOptions{}, ctx);
+  const auto memo = store.acquire(make_asset(7), imaging::LadderOptions{}, kAll, ctx);
   EXPECT_EQ(memo, nullptr) << "containment: an exhausted deadline degrades to a local build";
   const AssetStoreStats s = store.stats();
   EXPECT_EQ(s.build_failures, 1u);
@@ -239,7 +306,8 @@ TEST(AssetStore, EvictionKeepsThePerceptualIndexExact) {
     AssetStoreOptions probe;
     probe.shards = 1;
     AssetStore sizer(probe);
-    (void)sizer.acquire(make_asset(8), imaging::LadderOptions{}, obs::RequestContext::none());
+    (void)sizer.acquire(make_asset(8), imaging::LadderOptions{}, kAll,
+                        obs::RequestContext::none());
     one_entry = sizer.stats().resident_bytes;
     ASSERT_GT(one_entry, 0u);
   }
@@ -252,20 +320,22 @@ TEST(AssetStore, EvictionKeepsThePerceptualIndexExact) {
   const auto a = make_asset(8);
   const auto b = make_asset(9);
 
-  ASSERT_NE(store.acquire(a, options, obs::RequestContext::none()), nullptr);
-  ASSERT_NE(store.acquire(b, options, obs::RequestContext::none()), nullptr);  // evicts a
+  ASSERT_NE(store.acquire(a, options, kAll, obs::RequestContext::none()), nullptr);
+  ASSERT_NE(store.acquire(b, options, kAll, obs::RequestContext::none()), nullptr);  // evicts a
   EXPECT_GE(store.stats().evictions, 1u);
   EXPECT_EQ(store.stats().resident_entries, 1u);
 
   // A near-duplicate of the EVICTED asset must miss (its bucket is gone) —
   // a stale index would hand back a dropped memo here.
-  const auto rebuilt = store.acquire(near_duplicate(a), options, obs::RequestContext::none());
+  const auto rebuilt =
+      store.acquire(near_duplicate(a), options, kAll, obs::RequestContext::none());
   ASSERT_NE(rebuilt, nullptr);
   EXPECT_EQ(store.stats().semantic_hits, 0u);
 
   // The rebuild evicted b; a near-duplicate of the rebuilt content must
   // still semantic-hit, proving the index tracks residency through churn.
-  const auto dup = store.acquire(near_duplicate(a, 1, 1), options, obs::RequestContext::none());
+  const auto dup =
+      store.acquire(near_duplicate(a, 1, 1), options, kAll, obs::RequestContext::none());
   ASSERT_NE(dup, nullptr);
   EXPECT_EQ(dup.get(), rebuilt.get());
 
@@ -283,7 +353,7 @@ TEST(AssetStore, OversizedEntriesAreNeverAdmitted) {
   opts.capacity_bytes = 1;  // smaller than any entry
   opts.shards = 1;
   AssetStore store(opts);
-  const auto memo = store.acquire(make_asset(10), imaging::LadderOptions{},
+  const auto memo = store.acquire(make_asset(10), imaging::LadderOptions{}, kAll,
                                   obs::RequestContext::none());
   ASSERT_NE(memo, nullptr) << "the caller still gets the flight's memo";
   const AssetStoreStats s = store.stats();
@@ -309,7 +379,7 @@ TEST(AssetStore, ConcurrentAcquiresOfOneContentKeyCollapse) {
     threads.emplace_back([&, t] {
       // Every thread presents the asset under its own page identity; the
       // content key is what collapses them.
-      results[t] = store.acquire(same_content_other_page(asset), options,
+      results[t] = store.acquire(same_content_other_page(asset), options, kAll,
                                  obs::RequestContext::none());
     });
   }
@@ -324,6 +394,51 @@ TEST(AssetStore, ConcurrentAcquiresOfOneContentKeyCollapse) {
   const AssetStoreStats s = store.stats();
   EXPECT_EQ(s.lookups, kThreads);
   EXPECT_EQ(s.inserts, 1u);
+  EXPECT_EQ(s.build_failures, 0u);
+  expect_partition(s);
+  EXPECT_EQ(store.in_flight(), 0u);
+}
+
+TEST(AssetStore, ConcurrentAcquiresUnderBothFamilySetsEachBuildOnce) {
+  AssetStore store;
+  const auto asset = make_asset(16);
+  const imaging::LadderOptions options;
+
+  // The work of exactly one warm per set, measured serially up front.
+  imaging::reset_build_work_stats();
+  for (const LadderFamilies& families : {kHbs, kGrid}) {
+    imaging::VariantLadder ladder(asset, options, families);
+    ladder.warm();
+  }
+  const imaging::BuildWorkStats one_each = imaging::build_work_stats();
+  ASSERT_GT(one_each.encodes, 0u);
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<AssetStore::MemoPtr> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  imaging::reset_build_work_stats();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      results[t] = store.acquire(same_content_other_page(asset), options,
+                                 t % 2 == 0 ? kHbs : kGrid, obs::RequestContext::none());
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  ASSERT_NE(results[0], nullptr);
+  ASSERT_NE(results[1], nullptr);
+  EXPECT_NE(results[0].get(), results[1].get());
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(results[t].get(), results[t % 2].get()) << "thread " << t;
+  }
+  const imaging::BuildWorkStats work = imaging::build_work_stats();
+  EXPECT_EQ(work.encodes, one_each.encodes) << "each set built exactly once";
+  EXPECT_EQ(work.prepares, one_each.prepares);
+  const AssetStoreStats s = store.stats();
+  EXPECT_EQ(s.lookups, kThreads);
+  EXPECT_EQ(s.inserts, 2u);
+  EXPECT_EQ(s.semantic_hits, 0u);
   EXPECT_EQ(s.build_failures, 0u);
   expect_partition(s);
   EXPECT_EQ(store.in_flight(), 0u);
@@ -364,7 +479,7 @@ TEST(AssetStore, FlightDeadlineUnionSpansPageIdentities) {
   std::thread leader([&] {
     const obs::RequestContext ctx =
         obs::RequestContext().with_clock(leader_clock).with_deadline_after(0.4);
-    leader_memo = store.acquire(asset, options, ctx);
+    leader_memo = store.acquire(asset, options, kAll, ctx);
   });
   while (leader_clock_calls.load() < 2) std::this_thread::yield();
 
@@ -373,7 +488,7 @@ TEST(AssetStore, FlightDeadlineUnionSpansPageIdentities) {
     const obs::RequestContext ctx = obs::RequestContext()
                                         .with_clock([] { return 0.0; })
                                         .with_deadline_after(100.0);
-    joiner_memo = store.acquire(same_content_other_page(asset), options, ctx);
+    joiner_memo = store.acquire(same_content_other_page(asset), options, kAll, ctx);
   });
   while (store.flight_stats().joins < 1) std::this_thread::yield();
   (void)store.in_flight();  // barrier: the joiner's CAS-max has landed
@@ -413,7 +528,7 @@ TEST(AssetStore, StressPartitionHoldsUnderConcurrentChurn) {
         const auto& base = (t + i) % 2 == 0 ? base_a : base_b;
         const auto view = i % 2 == 0 ? same_content_other_page(base)
                                      : near_duplicate(base, static_cast<int>(t % 3), i % 2);
-        if (store.acquire(view, options, obs::RequestContext::none()) != nullptr) {
+        if (store.acquire(view, options, kAll, obs::RequestContext::none()) != nullptr) {
           returned.fetch_add(1, std::memory_order_relaxed);
         }
       }
