@@ -9,6 +9,10 @@
 //   dense SSIM   integral-image ssim() vs. the retained ssim_reference()
 //                at stride 1 and the default stride 4
 //   breakdown    prewarm stage vs. solver stage of the shared build
+//   QFS on       the default DeveloperConfig (QFS measured) with the shared
+//                cache, whose QFS memo every quality evaluation of the build
+//                shares; each tier's quality is checked against a fresh
+//                evaluation of its served page
 //   encode-once  a full JPEG quality ladder encoded single-shot per rung vs.
 //                one prepare() + per-rung encode_prepared() (PR 5), with the
 //                rungs checked bit-identical
@@ -210,6 +214,24 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The default config measures QFS: the bot's post-event screenshots, scored
+  // once per distinct render-input pair through the build's QFS memo.
+  const core::DeveloperConfig qfs_config;
+  const core::Aw4aPipeline qfs_pipeline(qfs_config);
+  std::vector<core::Tier> qfs_tiers;
+  const double qfs_build_ms = time_best_ms(options.repeat, [&] {
+    qfs_tiers = qfs_pipeline.build_tiers(page);
+  });
+  for (const core::Tier& tier : qfs_tiers) {
+    const core::QualityReport fresh =
+        core::evaluate_quality(tier.result.served, qfs_config.quality_weights);
+    if (fresh.qfs != tier.result.quality.qfs || fresh.quality != tier.result.quality.quality) {
+      std::fprintf(stderr, "FAIL: QFS-on tier %.2fx: build quality %.17g vs fresh %.17g\n",
+                   tier.requested_reduction, tier.result.quality.quality, fresh.quality);
+      ok = false;
+    }
+  }
+
   // Headline: the default build_tiers path (shared cache, prewarm off) vs. the
   // pre-PR per-tier rebuild. The prewarmed time is reported alongside — it wins
   // on multi-core origins but regresses on single-core boxes, where the extra
@@ -221,6 +243,7 @@ int main(int argc, char** argv) {
   entries.push_back({"cold_build_speedup", "x", build_speedup});
   entries.push_back({"cold_build_prewarm_stage", "ms", prewarm_stage_ms});
   entries.push_back({"cold_build_solver_stage", "ms", solver_stage_ms});
+  entries.push_back({"cold_build_tiers_qfs", "ms", qfs_build_ms});
 
   // --- SSIM: integral-image vs. the retained reference, dense and strided,
   // on a JPEG-roundtripped photo (realistic correlated distortion). ---

@@ -34,12 +34,13 @@ void finalize(BaselineResult& result) {
                           100.0;
 
   // "Broken": the page had interactive widgets and none survive.
+  const web::RenderInputs inputs = web::view_inputs(result.served);
   bool had_widget = false;
   bool any_alive = false;
-  for (const auto& block : page.layout) {
-    if (block.kind != web::LayoutBlock::Kind::kWidget) continue;
+  for (std::size_t i = 0; i < page.layout.size(); ++i) {
+    if (page.layout[i].kind != web::LayoutBlock::Kind::kWidget) continue;
     had_widget = true;
-    if (web::widget_functional(result.served, block.widget)) {
+    if (inputs.blocks[i] & web::RenderInputs::kFunctional) {
       any_alive = true;
       break;
     }

@@ -102,6 +102,10 @@ class LadderCache {
 
   const imaging::LadderOptions& options() const { return options_; }
 
+  /// QFS scores of this cache's page: every evaluate_quality of one build
+  /// shares them, and they live exactly as long as the ladders.
+  QfsMemo& qfs_memo() { return qfs_memo_; }
+
  private:
   struct Slot {
     explicit Slot(imaging::VariantLadder l) : ladder(std::move(l)) {}
@@ -117,6 +121,7 @@ class LadderCache {
   imaging::AssetLadderSource* assets_ = nullptr;
   imaging::LadderFamilies families_;
   std::map<std::uint64_t, Slot> ladders_;
+  QfsMemo qfs_memo_;
 };
 
 /// Rich image objects of a page (those carrying rasters), in page order.

@@ -102,7 +102,7 @@ TranscodeResult Aw4aPipeline::transcode_to_target(const web::WebPage& page, Byte
     result.target_bytes = target_bytes;
     result.met_target = result.result_bytes <= target_bytes;
     result.quality = evaluate_quality(result.served, config_.quality_weights,
-                                      config_.measure_qfs);
+                                      config_.measure_qfs, &ladders.qfs_memo(), ctx);
     result.algorithm = algorithm;
     result.elapsed_seconds = elapsed();
     return result;
@@ -142,7 +142,7 @@ TranscodeResult Aw4aPipeline::transcode_to_target(const web::WebPage& page, Byte
       result.target_bytes = target_bytes;
       result.met_target = outcome.met_target;
       result.quality = evaluate_quality(result.served, config_.quality_weights,
-                                        config_.measure_qfs);
+                                        config_.measure_qfs, &ladders.qfs_memo(), ctx);
       result.algorithm =
           outcome.timed_out ? "stage1+grid-search(timeout)" : "stage1+grid-search";
       result.elapsed_seconds = elapsed();
@@ -298,7 +298,7 @@ std::vector<Tier> Aw4aPipeline::build_tiers(const web::WebPage& page,
   }
   if (config_.ultra_low.markup_rewrite) {
     append_ultra(TierKind::kMarkupRewrite, [&] {
-      return build_markup_rewrite(page, ladder_options(), config_.quality_weights,
+      return build_markup_rewrite(page, ladders, config_.quality_weights,
                                   config_.measure_qfs, ctx);
     });
   }

@@ -34,7 +34,10 @@ struct DeveloperConfig {
   /// Grid Search budget when selected.
   double grid_timeout_seconds = 10.0;
   Stage1Options stage1;
-  /// Measure QFS on results (bot + screenshots).
+  /// Measure QFS on results (bot + screenshots). Every quality evaluation
+  /// of one build shares the build's QFS memo (LadderCache::qfs_memo), so
+  /// each distinct screenshot pair is rendered and scored once per build
+  /// (DESIGN.md §10, "Page-invariant QFS work"). Off, QFS reads 1.
   bool measure_qfs = true;
   /// JS stage of HBS approach A (kAdjustable avoids Muzeel's overshoot).
   HbsOptions::JsStrategy js_strategy = HbsOptions::JsStrategy::kMuzeel;

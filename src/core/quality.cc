@@ -30,9 +30,26 @@ double compute_qss(const web::ServedPage& served) {
   return weighted / total_area;
 }
 
-double compute_qfs(const web::ServedPage& served, const web::RenderOptions& render) {
+void QfsMemo::bind(const web::WebPage& page) {
+  if (page_ == &page) return;
+  page_ = nullptr;
+  ssim_.clear();
+  // With images pinned to their originals (see compute_qfs) the original
+  // page's post-event screenshots depend only on the page and the event.
+  const web::ServedPage original = web::serve_original(page);
+  const web::RenderInputs view = web::view_inputs(original);
+  events_ = web::enumerate_events(page);
+  original_.clear();
+  original_.reserve(events_.size());
+  for (const web::BotEvent& event : events_) {
+    original_.push_back(web::with_state(view, page, web::state_after_event(original, event)));
+  }
+  page_ = &page;
+}
+
+double compute_qfs(const web::ServedPage& served, QfsMemo& memo) {
   AW4A_EXPECTS(served.page != nullptr);
-  const web::ServedPage original = web::serve_original(*served.page);
+  const web::WebPage& page = *served.page;
 
   // QFS isolates *functionality*: compare post-event screenshots with image
   // decisions pinned to the originals, so static image degradation (QSS's
@@ -45,18 +62,31 @@ double compute_qfs(const web::ServedPage& served, const web::RenderOptions& rend
                               functional_view.dropped.empty();
   if (page_untouched) return 1.0;
 
-  const auto events = web::enumerate_events(*served.page);
-  if (events.empty()) return 1.0;
+  memo.bind(page);
+  if (memo.events_.empty()) return 1.0;
 
+  const web::RenderInputs view = web::view_inputs(functional_view);
   double total = 0.0;
-  for (const auto& event : events) {
-    const web::RenderState state_orig = web::state_after_event(original, event);
-    const web::RenderState state_served = web::state_after_event(functional_view, event);
-    const imaging::Raster shot_orig = web::render_page(original, state_orig, render);
-    const imaging::Raster shot_served = web::render_page(functional_view, state_served, render);
-    total += imaging::ssim(shot_orig, shot_served);
+  for (std::size_t i = 0; i < memo.events_.size(); ++i) {
+    const web::RenderState state = web::state_after_event(functional_view, memo.events_[i]);
+    auto key = std::make_pair(memo.original_[i], web::with_state(view, page, state));
+    if (const auto it = memo.ssim_.find(key); it != memo.ssim_.end()) {
+      ++memo.hits_;
+      total += it->second;
+      continue;
+    }
+    const double s = imaging::ssim(web::rasterize(page, key.first, memo.render_),
+                                   web::rasterize(page, key.second, memo.render_));
+    memo.renders_ += 2;
+    memo.ssim_.emplace(std::move(key), s);
+    total += s;
   }
-  return total / static_cast<double>(events.size());
+  return total / static_cast<double>(memo.events_.size());
+}
+
+double compute_qfs(const web::ServedPage& served, const web::RenderOptions& render) {
+  QfsMemo memo(render);
+  return compute_qfs(served, memo);
 }
 
 double overall_quality(double qss, double qfs, const QualityWeights& weights) {
@@ -66,10 +96,14 @@ double overall_quality(double qss, double qfs, const QualityWeights& weights) {
 }
 
 QualityReport evaluate_quality(const web::ServedPage& served, const QualityWeights& weights,
-                               bool measure_qfs) {
+                               bool measure_qfs, QfsMemo* memo,
+                               const obs::RequestContext& ctx) {
   QualityReport report;
   report.qss = compute_qss(served);
-  report.qfs = measure_qfs ? compute_qfs(served) : 1.0;
+  if (measure_qfs) {
+    AW4A_SPAN(ctx, "quality.qfs");
+    report.qfs = memo != nullptr ? compute_qfs(served, *memo) : compute_qfs(served);
+  }
   report.quality = overall_quality(report.qss, report.qfs, weights);
   return report;
 }

@@ -6,9 +6,9 @@
 namespace aw4a::core {
 namespace {
 
-TranscodeResult finish(web::ServedPage served, Bytes original_bytes,
+TranscodeResult finish(web::ServedPage served, Bytes original_bytes, LadderCache& ladders,
                        const QualityWeights& weights, bool measure_qfs, const char* algorithm,
-                       double elapsed) {
+                       const obs::RequestContext& ctx, double elapsed) {
   TranscodeResult result;
   result.served = std::move(served);
   result.result_bytes = result.served.transfer_size();
@@ -16,7 +16,8 @@ TranscodeResult finish(web::ServedPage served, Bytes original_bytes,
   // is its target, and it is met by definition.
   result.target_bytes = result.result_bytes;
   result.met_target = result.result_bytes <= original_bytes;
-  result.quality = evaluate_quality(result.served, weights, measure_qfs);
+  result.quality =
+      evaluate_quality(result.served, weights, measure_qfs, &ladders.qfs_memo(), ctx);
   result.algorithm = algorithm;
   result.elapsed_seconds = elapsed;
   return result;
@@ -62,12 +63,11 @@ TranscodeResult build_text_only(const web::WebPage& page, LadderCache& ladders,
     }
   }
 
-  return finish(std::move(served), page.transfer_size(), weights, measure_qfs,
-                "ultra/text-only", ctx.now() - started);
+  return finish(std::move(served), page.transfer_size(), ladders, weights, measure_qfs,
+                "ultra/text-only", ctx, ctx.now() - started);
 }
 
-TranscodeResult build_markup_rewrite(const web::WebPage& page,
-                                     const imaging::LadderOptions& options,
+TranscodeResult build_markup_rewrite(const web::WebPage& page, LadderCache& ladders,
                                      const QualityWeights& weights, bool measure_qfs,
                                      const obs::RequestContext& ctx) {
   AW4A_SPAN(ctx, "ultra.markup_rewrite");
@@ -75,10 +75,10 @@ TranscodeResult build_markup_rewrite(const web::WebPage& page,
   ctx.check("ultra.markup_rewrite");
 
   web::ServedPage served = web::serve_original(page);
-  web::apply_markup_rewrite(served, options);
+  web::apply_markup_rewrite(served, ladders.options());
 
-  return finish(std::move(served), page.transfer_size(), weights, measure_qfs,
-                "ultra/markup-rewrite", ctx.now() - started);
+  return finish(std::move(served), page.transfer_size(), ladders, weights, measure_qfs,
+                "ultra/markup-rewrite", ctx, ctx.now() - started);
 }
 
 }  // namespace aw4a::core

@@ -33,9 +33,10 @@ TranscodeResult build_text_only(const web::WebPage& page, LadderCache& ladders,
                                 const obs::RequestContext& ctx = obs::RequestContext::none());
 
 /// Builds the markup-rewrite tier: one AWML blob plus per-object decisions
-/// consistent with its contents (web::apply_markup_rewrite).
-TranscodeResult build_markup_rewrite(const web::WebPage& page,
-                                     const imaging::LadderOptions& options,
+/// consistent with its contents (web::apply_markup_rewrite). The blob follows
+/// `ladders.options()`; the tier's QFS shares `ladders.qfs_memo()` with the
+/// rest of the build. Encodes nothing.
+TranscodeResult build_markup_rewrite(const web::WebPage& page, LadderCache& ladders,
                                      const QualityWeights& weights, bool measure_qfs,
                                      const obs::RequestContext& ctx = obs::RequestContext::none());
 

@@ -9,7 +9,9 @@
 # raster suites (the PNG filter reads its zero-padded rows at i - channels,
 # and the color convert copies packed 32-bit rows into Pixel storage), plus
 # the demand-driven ladder-family differential (concurrent prewarm workers
-# adopting asset-store memos of partial family sets), plus
+# adopting asset-store memos of partial family sets), the QFS memo and
+# renderer suites (render inputs index the layout per block, and memo keys
+# outlive the served views they were derived from), plus
 # the full suite under UBSan alone (cheap enough to run everything), plus
 # the serving suite and the rANS coder under TSan (the tier cache,
 # single-flight, and the content-addressed asset store are the concurrent
@@ -26,8 +28,8 @@ cmake --build build -j >/dev/null
 cmake -B build-asan -S . -DAW4A_SANITIZE=ON >/dev/null
 cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test \
   imaging_resize_test imaging_ssim_test imaging_variants_test imaging_codec_test imaging_codec_detail_test \
-  imaging_raster_test core_ladder_families_test >/dev/null
-(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test|imaging_(resize|ssim|variants|codec|codec_detail|raster)_test|core_ladder_families_test)$')
+  imaging_raster_test core_ladder_families_test core_qfs_memo_test web_render_test >/dev/null
+(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test|imaging_(resize|ssim|variants|codec|codec_detail|raster)_test|core_ladder_families_test|core_qfs_memo_test|web_render_test)$')
 # The rANS coder once more under each forced dispatch mode: the scalar and
 # AVX2 decode paths take different code (deferred lane groups, the vector
 # renorm's 16-byte stream load), so both must be sanitizer-clean — the env
