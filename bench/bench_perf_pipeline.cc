@@ -46,7 +46,6 @@
 
 #include "core/pipeline.h"
 #include "dataset/corpus.h"
-#include "imaging/ans.h"
 #include "imaging/codec.h"
 #include "imaging/codec_detail.h"
 #include "imaging/ssim.h"
@@ -405,12 +404,7 @@ int main(int argc, char** argv) {
   entries.push_back({"decode_ladder_rans", "ms", decode_rans_ms});
   entries.push_back({"rans_payload_reduction", "ratio", rans_reduction});
 
-  // --- SIMD dispatch A/B (PR 10): the same ladder decode forced scalar vs
-  // forced AVX2, and the division-free encoder hot loop vs its pinned
-  // division/modulo reference. Both A/Bs double as equivalence checks —
-  // pixels must be bit-identical across modes, encoder output byte-identical
-  // across implementations. On hosts without AVX2 both decode legs run the
-  // scalar path and the speedup honestly reports ~1.0. ---
+  // Decode throughput over the rANS ladder: decoded raster bytes per second.
   double decoded_bytes = 0.0;
   for (const imaging::Encoded& enc : rans_ladder) {
     decoded_bytes += static_cast<double>(enc.decoded.width()) * enc.decoded.height() *
@@ -418,77 +412,7 @@ int main(int argc, char** argv) {
   }
   const double rans_decode_mb_per_s =
       decode_rans_ms == 0.0 ? 0.0 : decoded_bytes / 1.0e6 / (decode_rans_ms / 1.0e3);
-  const auto time_ladder_decode = [&](imaging::ans::SimdMode mode) {
-    imaging::ans::set_simd_mode(mode);
-    const double ms = time_best_ms(options.repeat, [&] {
-      for (const imaging::Encoded& enc : rans_ladder) {
-        (void)imaging::lossy_decode(enc.payload);
-      }
-    });
-    imaging::ans::set_simd_mode(imaging::ans::SimdMode::kAuto);
-    return ms;
-  };
-  const double decode_scalar_ms = time_ladder_decode(imaging::ans::SimdMode::kScalar);
-  const double decode_simd_ms = time_ladder_decode(imaging::ans::SimdMode::kSimd);
-  const double rans_decode_speedup =
-      decode_simd_ms == 0.0 ? 0.0 : decode_scalar_ms / decode_simd_ms;
-  for (const imaging::Encoded& enc : rans_ladder) {
-    imaging::ans::set_simd_mode(imaging::ans::SimdMode::kScalar);
-    const imaging::Raster scalar_px = imaging::lossy_decode(enc.payload);
-    imaging::ans::set_simd_mode(imaging::ans::SimdMode::kSimd);
-    const imaging::Raster simd_px = imaging::lossy_decode(enc.payload);
-    imaging::ans::set_simd_mode(imaging::ans::SimdMode::kAuto);
-    if (scalar_px.pixels() != simd_px.pixels()) {
-      std::fprintf(stderr, "FAIL: scalar and SIMD rANS decodes diverged\n");
-      ok = false;
-    }
-  }
-
-  // Encoder A/B over a codec-shaped symbol stream: two contexts (a small
-  // DC-like and a dense AC-like alphabet), skewed counts, tens of renorms
-  // per lane — the same work mix encode_prepared feeds the coder, isolated
-  // from DCT/quantize time.
-  {
-    Rng ab_rng(4242);
-    std::vector<std::uint64_t> dc_counts(16, 0), ac_counts(256, 0);
-    std::vector<imaging::ans::SymbolRef> ab_ops;
-    for (int i = 0; i < 200000; ++i) {
-      const bool dc = i % 9 == 0;  // ~1 DC symbol per block's worth of ACs
-      int s = 0;
-      const int cap = dc ? 15 : 255;
-      while (s < cap && ab_rng.uniform(0.0, 1.0) < 0.6) ++s;
-      (dc ? dc_counts : ac_counts)[static_cast<std::size_t>(s)]++;
-      ab_ops.push_back({static_cast<std::uint16_t>(dc ? 0 : 1),
-                        static_cast<std::uint16_t>(s)});
-    }
-    const std::vector<imaging::ans::FreqTable> ab_tables = {
-        imaging::ans::build_table(dc_counts.data(), 16),
-        imaging::ans::build_table(ac_counts.data(), 256)};
-    // Symbols the escape sweep folded out of a table ride its ESCAPE entry,
-    // exactly as the codec's collector does.
-    for (imaging::ans::SymbolRef& op : ab_ops) {
-      if (!ab_tables[op.table].has(op.symbol)) {
-        op.symbol = imaging::ans::kEscapeSymbol;
-      }
-    }
-    imaging::ans::EncodedStreams fast, reference;
-    const double encode_fast_ms = time_best_ms(options.repeat, [&] {
-      fast = imaging::ans::encode_interleaved(ab_ops, ab_tables);
-    });
-    const double encode_ref_ms = time_best_ms(options.repeat, [&] {
-      reference = imaging::ans::encode_interleaved_reference(ab_ops, ab_tables);
-    });
-    const double rans_encode_speedup =
-        encode_fast_ms == 0.0 ? 0.0 : encode_ref_ms / encode_fast_ms;
-    if (fast.stream != reference.stream || fast.states != reference.states) {
-      std::fprintf(stderr,
-                   "FAIL: reciprocal encoder output differs from the reference\n");
-      ok = false;
-    }
-    entries.push_back({"rans_decode_mb_per_s", "MB/s", rans_decode_mb_per_s});
-    entries.push_back({"rans_decode_speedup", "x", rans_decode_speedup});
-    entries.push_back({"rans_encode_speedup", "x", rans_encode_speedup});
-  }
+  entries.push_back({"rans_decode_mb_per_s", "MB/s", rans_decode_mb_per_s});
 
   std::printf("\n%-34s %10s %10s\n", "benchmark", "value", "unit");
   for (const Entry& e : entries) {

@@ -11,10 +11,9 @@
 // the build itself runs unlocked, so flights for different keys proceed in
 // parallel.
 //
-// Deadline union: with the deadline-aware overload, every flight carries an
-// atomic deadline that starts at the leader's and is raised (CAS-max) by
-// each joiner — the leader builds under the *most generous* deadline of
-// anyone waiting on the result. That is the only sound choice: the build is
+// Deadline union: every flight carries an atomic deadline that starts at
+// the leader's and is raised (CAS-max) by each joiner — the leader builds
+// under the *most generous* deadline of anyone waiting on the result. That is the only sound choice: the build is
 // shared, so stopping at the leader's own (possibly tightest) deadline would
 // time out joiners who still had budget, while the union lets every waiter
 // whose own deadline has passed give up independently at the serving layer
@@ -45,20 +44,13 @@ class SingleFlight {
  public:
   using ValuePtr = std::shared_ptr<const Value>;
 
-  /// Returns `build()`'s value, running it at most once across all calls
-  /// that overlap on `key`. Rethrows the leader's exception in every member
-  /// of a failed flight.
-  ValuePtr run(const Key& key, const std::function<ValuePtr()>& build) {
-    return run(
-        key, [&](const std::atomic<double>&) { return build(); },
-        std::numeric_limits<double>::infinity());
-  }
-
-  /// Deadline-aware variant: the leader's `build` receives the flight's live
-  /// deadline union (monotonic seconds, +inf = none) — point a request
-  /// context's shared deadline at it so joiners arriving mid-build can
-  /// extend the leader's budget. `deadline_at` is this caller's own
-  /// deadline; as a joiner it is CAS-maxed into the union before waiting.
+  /// Returns `build`'s value, running it at most once across all calls that
+  /// overlap on `key`. Rethrows the leader's exception in every member of a
+  /// failed flight. The leader's `build` receives the flight's live deadline
+  /// union (monotonic seconds, +inf = none) — point a request context's
+  /// shared deadline at it so joiners arriving mid-build can extend the
+  /// leader's budget. `deadline_at` is this caller's own deadline (+inf for
+  /// none); as a joiner it is CAS-maxed into the union before waiting.
   ValuePtr run(const Key& key,
                const std::function<ValuePtr(const std::atomic<double>&)>& build,
                double deadline_at) {

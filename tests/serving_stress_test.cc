@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -33,15 +34,18 @@ TierKey key_of(std::uint64_t site) { return TierKey{site, 1, net::PlanType::kDat
 LadderPtr cached_build(TierCache& cache, SingleFlight<TierKey, TierLadder, TierKeyHash>& flight,
                        const TierKey& key, std::atomic<std::uint64_t>& builds) {
   if (LadderPtr resident = cache.fetch(key, 0.0)) return resident;
-  return flight.run(key, [&]() -> LadderPtr {
-    if (LadderPtr resident = cache.fetch(key, 0.0)) return resident;
-    builds.fetch_add(1, std::memory_order_relaxed);
-    auto ladder = std::make_shared<TierLadder>();
-    ladder->tiers.resize(1);
-    ladder->cost_bytes = 1000;
-    cache.insert(key, ladder, 0.0);
-    return ladder;
-  });
+  return flight.run(
+      key,
+      [&](const std::atomic<double>&) -> LadderPtr {
+        if (LadderPtr resident = cache.fetch(key, 0.0)) return resident;
+        builds.fetch_add(1, std::memory_order_relaxed);
+        auto ladder = std::make_shared<TierLadder>();
+        ladder->tiers.resize(1);
+        ladder->cost_bytes = 1000;
+        cache.insert(key, ladder, 0.0);
+        return ladder;
+      },
+      std::numeric_limits<double>::infinity());
 }
 
 TEST(ServingStress, ExactlyOneBuildPerKeyAcrossThreads) {
@@ -98,7 +102,7 @@ TEST(ServingStress, FailingLeaderNeverStrandsWaiters) {
 
   // Every odd-numbered build attempt of the key fails: flights alternate
   // between dissolving in error and succeeding, under full contention.
-  const auto build = [&]() -> std::shared_ptr<const int> {
+  const auto build = [&](const std::atomic<double>&) -> std::shared_ptr<const int> {
     const auto n = attempts.fetch_add(1) + 1;
     if (n % 2 == 1) throw TransientError("flaky leader " + std::to_string(n));
     return std::make_shared<const int>(static_cast<int>(n));
@@ -109,7 +113,7 @@ TEST(ServingStress, FailingLeaderNeverStrandsWaiters) {
     threads.emplace_back([&] {
       for (std::size_t i = 0; i < kIterations; ++i) {
         try {
-          const auto value = flight.run(7, build);
+          const auto value = flight.run(7, build, std::numeric_limits<double>::infinity());
           ASSERT_NE(value, nullptr);
           successes.fetch_add(1);
         } catch (const TransientError&) {

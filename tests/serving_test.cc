@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -324,13 +325,19 @@ TEST(Histogram, ValuesAboveTheTopBucketClampWithExactSumAndMax) {
 // SingleFlight
 // ---------------------------------------------------------------------------
 
+/// Deadline for callers without one.
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
 TEST(SingleFlight, SoloCallRunsTheBuild) {
   SingleFlight<int, int> flight;
   int builds = 0;
-  const auto value = flight.run(7, [&] {
-    ++builds;
-    return std::make_shared<const int>(42);
-  });
+  const auto value = flight.run(
+      7,
+      [&](const std::atomic<double>&) {
+        ++builds;
+        return std::make_shared<const int>(42);
+      },
+      kNoDeadline);
   ASSERT_NE(value, nullptr);
   EXPECT_EQ(*value, 42);
   EXPECT_EQ(builds, 1);
@@ -343,7 +350,7 @@ TEST(SingleFlight, WaitersShareTheLeadersBuild) {
   SingleFlight<int, int> flight;
   constexpr std::uint64_t kWaiters = 3;
   std::atomic<int> builds{0};
-  const auto build = [&]() -> std::shared_ptr<const int> {
+  const auto build = [&](const std::atomic<double>&) -> std::shared_ptr<const int> {
     builds.fetch_add(1);
     // Hold the flight open until every other thread has joined it, so the
     // collapse is guaranteed rather than racy-probable.
@@ -353,7 +360,7 @@ TEST(SingleFlight, WaitersShareTheLeadersBuild) {
   std::vector<std::thread> threads;
   std::vector<std::shared_ptr<const int>> results(kWaiters + 1);
   for (std::size_t i = 0; i < results.size(); ++i) {
-    threads.emplace_back([&, i] { results[i] = flight.run(5, build); });
+    threads.emplace_back([&, i] { results[i] = flight.run(5, build, kNoDeadline); });
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(builds.load(), 1);
@@ -371,7 +378,7 @@ TEST(SingleFlight, LeaderFailurePropagatesOnceToEveryWaiter) {
   constexpr std::uint64_t kWaiters = 3;
   std::atomic<int> builds{0};
   std::atomic<int> failures{0};
-  const auto build = [&]() -> std::shared_ptr<const int> {
+  const auto build = [&](const std::atomic<double>&) -> std::shared_ptr<const int> {
     builds.fetch_add(1);
     while (flight.stats().joins < kWaiters) std::this_thread::yield();
     throw TransientError("leader lost its build");
@@ -380,7 +387,7 @@ TEST(SingleFlight, LeaderFailurePropagatesOnceToEveryWaiter) {
   for (std::size_t i = 0; i < kWaiters + 1; ++i) {
     threads.emplace_back([&] {
       try {
-        flight.run(5, build);
+        flight.run(5, build, kNoDeadline);
       } catch (const TransientError&) {
         failures.fetch_add(1);
       }
@@ -391,7 +398,9 @@ TEST(SingleFlight, LeaderFailurePropagatesOnceToEveryWaiter) {
   EXPECT_EQ(failures.load(), static_cast<int>(kWaiters) + 1)
       << "every member of the flight observes the one failure";
   // The failed flight dissolved: the next call elects a fresh leader.
-  const auto value = flight.run(5, [] { return std::make_shared<const int>(1); });
+  const auto value = flight.run(
+      5, [](const std::atomic<double>&) { return std::make_shared<const int>(1); },
+      kNoDeadline);
   ASSERT_NE(value, nullptr);
   EXPECT_EQ(flight.stats().leads, 2u);
 }
