@@ -1,16 +1,18 @@
 // transcoding_server: the origin-server view of AW4A (paper §5.2/§5.5).
 //
-// Builds a page's tier ladder once, then answers a series of HTTP requests —
-// shown on the wire, exactly as a browser and a proxyless origin would
-// exchange them. The `Save-Data` client hint (RFC 8674), a CDN geo hint, and
-// the AW4A savings-preference header drive the Fig. 6 control flow.
+// Hosts one page on a one-site serving::OriginServer and answers a series of
+// HTTP requests — shown on the wire, exactly as a browser and a proxyless
+// origin would exchange them. The `Save-Data` client hint (RFC 8674), a CDN
+// geo hint, and the AW4A savings-preference header drive the Fig. 6 control
+// flow. The tier ladder is built on the first Save-Data request and served
+// from the origin's cache after that.
 // Fault drills: set AW4A_FAULTS (e.g. AW4A_FAULTS=codec.jpeg.encode:0.1 or
 // solver.hbs:1.0) to inject deterministic failures and watch the server
 // degrade — fall back to Stage-1 tiers, borrow coarser tiers, or serve the
 // original page with an AW4A-Degraded header — instead of crashing.
 #include <iostream>
 
-#include "core/server.h"
+#include "serving/origin.h"
 #include "dataset/corpus.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -28,43 +30,32 @@ int main() {
   config.tier_reductions = {1.5, 3.0, 6.0};
   config.min_image_ssim = 0.8;
   config.measure_qfs = false;
-  const core::TranscodingServer server(page, config, net::PlanType::kDataVoiceLowUsage);
+  std::vector<serving::OriginSite> sites;
+  sites.push_back(serving::OriginSite{"news.example", page, config,
+                                      net::PlanType::kDataVoiceLowUsage});
+  const serving::OriginServer origin(std::move(sites));
 
-  std::cout << "origin holds " << format_bytes(page.transfer_size()) << " page + "
-            << server.tiers().size() << " pre-built tiers\n";
-  if (server.degraded()) {
-    std::cout << "!! running degraded: " << server.degraded_reason() << "\n";
-  }
-  std::cout << "\n";
+  std::cout << "origin hosts news.example: a " << format_bytes(page.transfer_size())
+            << " page; tiers are built on the first Save-Data request\n\n";
 
   struct Scenario {
     const char* label;
     net::HttpRequest request;
   };
   std::vector<Scenario> scenarios;
-  {
+  const auto add = [&](const char* label, std::vector<net::HttpHeader> hints) {
     net::HttpRequest r;
     r.path = "/";
-    scenarios.push_back({"unconstrained user (no hints)", r});
-  }
-  {
-    net::HttpRequest r;
-    r.path = "/";
-    r.headers = {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}};
-    scenarios.push_back({"data saver in Ethiopia (country sharing on)", r});
-  }
-  {
-    net::HttpRequest r;
-    r.path = "/";
-    r.headers = {{"Save-Data", "on"}, {"X-Geo-Country", "DE"}};
-    scenarios.push_back({"data saver in Germany (already affordable)", r});
-  }
-  {
-    net::HttpRequest r;
-    r.path = "/";
-    r.headers = {{"Save-Data", "on"}, {"AW4A-Savings", "70"}};
-    scenarios.push_back({"privacy-minded user, wants ~70% savings", r});
-  }
+    r.headers = {{"Host", "news.example"}};
+    r.headers.insert(r.headers.end(), hints.begin(), hints.end());
+    scenarios.push_back({label, r});
+  };
+  add("unconstrained user (no hints)", {});
+  add("data saver in Ethiopia (country sharing on)",
+      {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}});
+  add("data saver in Germany (already affordable)",
+      {{"Save-Data", "on"}, {"X-Geo-Country", "DE"}});
+  add("privacy-minded user, wants ~70% savings", {{"Save-Data", "on"}, {"AW4A-Savings", "70"}});
 
   for (const auto& scenario : scenarios) {
     std::cout << "### " << scenario.label << "\n";
@@ -75,7 +66,7 @@ int main() {
     }
     // Over the wire and back, as a real deployment would.
     const auto parsed = net::parse_request(wire_request);
-    const net::HttpResponse response = server.handle(*parsed);
+    const net::HttpResponse response = origin.handle(*parsed);
     std::cout << "< HTTP/1.1 " << response.status << " " << response.reason << "\n";
     for (const auto& h : response.headers) {
       std::cout << "< " << h.name << ": " << h.value << "\n";
@@ -83,6 +74,14 @@ int main() {
     std::cout << "< Content-Length: " << response.content_length << "  ("
               << format_bytes(response.content_length) << ")\n\n";
   }
+  // What the origin did, from its own counters (all deterministic under a
+  // seeded AW4A_FAULTS spec; the timing histograms are left out).
+  const serving::MetricsSnapshot m = origin.metrics();
+  std::cout << "origin: " << m.builds_started << " ladder build(s), " << m.builds_failed
+            << " failed; tier answers " << m.served_paw_tier + m.served_preference_tier
+            << " (built " << m.ladder_built << ", cached " << m.ladder_cached
+            << "), originals " << m.served_original << ", degraded " << m.served_degraded
+            << "; cache holds " << origin.cache_stats().resident_entries << " ladder(s)\n";
   std::cout << "note: no proxy ever saw these pages — transcoding happened at the\n"
                "origin, preserving TLS end to end (the paper's G2).\n";
   return 0;

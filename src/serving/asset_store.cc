@@ -1,7 +1,5 @@
 #include "serving/asset_store.h"
 
-#include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "util/error.h"
@@ -29,22 +27,17 @@ AssetStoreStats& AssetStoreStats::operator+=(const AssetStoreStats& other) {
   return *this;
 }
 
-AssetStore::AssetStore(AssetStoreOptions options) : options_(std::move(options)) {
-  AW4A_EXPECTS(options_.capacity_bytes > 0);
-  AW4A_EXPECTS(options_.shards > 0);
+AssetStore::AssetStore(AssetStoreOptions options)
+    : options_(std::move(options)), lru_(options_.shards, options_.capacity_bytes) {
   AW4A_EXPECTS(options_.semantic_min_ssim > 0.0 && options_.semantic_min_ssim <= 1.0);
   AW4A_EXPECTS(options_.semantic_probe_limit > 0);
   AW4A_EXPECTS(options_.thumbprint_dim > 0);
-  const std::size_t shard_count = std::bit_ceil(options_.shards);
-  shards_.resize(shard_count);
-  shard_capacity_ = std::max<Bytes>(1, options_.capacity_bytes / shard_count);
 }
 
-AssetStore::Shard& AssetStore::shard_of(std::uint64_t ahash, std::uint64_t recipe) {
+AssetStore::Lru::Shard& AssetStore::shard_of(std::uint64_t ahash, std::uint64_t recipe) {
   // Sharded by perceptual bucket (+ recipe), not by exact content: near
   // duplicates hash to the same shard, so the semantic probe is local.
-  const std::uint64_t h = hash_mix(hash_mix(0x6177346173686421ULL, ahash), recipe);
-  return shards_[static_cast<std::size_t>(h) & (shards_.size() - 1)];
+  return lru_.shard(hash_mix(hash_mix(0x6177346173686421ULL, ahash), recipe));
 }
 
 Bytes AssetStore::entry_cost(const Entry& entry) {
@@ -61,28 +54,24 @@ Bytes AssetStore::entry_cost(const Entry& entry) {
   return cost;
 }
 
-void AssetStore::admit(Shard& shard, const AssetKey& key, std::uint64_t ahash,
+void AssetStore::admit(Lru::Shard& shard, const AssetKey& key, std::uint64_t ahash,
                        imaging::PlaneF thumbprint, const MemoPtr& memo) {
   Entry entry{memo, std::move(thumbprint), ahash};
   const Bytes cost = entry_cost(entry);
   const std::lock_guard lock(shard.mutex);
   if (shard.lru.touch(key) != nullptr) return;  // a concurrent flight landed first
-  if (cost > shard_capacity_) return;           // never admit what a shard can't hold
-  while (shard.lru.total_cost() + cost > static_cast<std::uint64_t>(shard_capacity_)) {
-    auto victim = shard.lru.evict_lru();
-    if (!victim) break;
-    ++shard.counters.evictions;
-    // Keep the semantic index exact: a probe must never surface an evicted
-    // key (it would "hit" a memo the LRU already dropped).
-    const auto bucket = shard.by_ahash.find(victim->value.ahash);
-    if (bucket != shard.by_ahash.end()) {
-      std::erase(bucket->second, victim->key);
-      if (bucket->second.empty()) shard.by_ahash.erase(bucket);
+  // Keep the semantic index exact: a probe must never surface an evicted
+  // key (it would "hit" a memo the LRU already dropped).
+  const auto unindex = [&shard](const auto& victim) {
+    const auto bucket = shard.extra.find(victim.value.ahash);
+    if (bucket != shard.extra.end()) {
+      std::erase(bucket->second, victim.key);
+      if (bucket->second.empty()) shard.extra.erase(bucket);
     }
+  };
+  if (lru_.admit_locked(shard, key, std::move(entry), cost, unindex)) {
+    shard.extra[ahash].push_back(key);
   }
-  shard.lru.insert(key, std::move(entry), static_cast<std::uint64_t>(cost));
-  shard.by_ahash[ahash].push_back(key);
-  ++shard.counters.inserts;
 }
 
 AssetStore::MemoPtr AssetStore::acquire(
@@ -108,7 +97,7 @@ AssetStore::MemoPtr AssetStore::acquire(
       ahash = imaging::average_hash(asset->original);
     }
     const AssetKey key{content, recipe};
-    Shard& shard = shard_of(ahash, recipe);
+    Lru::Shard& shard = shard_of(ahash, recipe);
 
     {
       const std::lock_guard lock(shard.mutex);
@@ -133,8 +122,8 @@ AssetStore::MemoPtr AssetStore::acquire(
         ++shard.counters.exact_hits;
         return entry->memo;
       }
-      const auto bucket = shard.by_ahash.find(ahash);
-      if (bucket != shard.by_ahash.end()) {
+      const auto bucket = shard.extra.find(ahash);
+      if (bucket != shard.extra.end()) {
         std::size_t scored = 0;
         for (const AssetKey& candidate : bucket->second) {
           if (candidate.recipe != recipe) continue;
@@ -196,14 +185,7 @@ AssetStore::MemoPtr AssetStore::acquire(
 }
 
 AssetStoreStats AssetStore::stats() const {
-  AssetStoreStats total;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    AssetStoreStats with_gauges = shard.counters;
-    with_gauges.resident_entries = shard.lru.size();
-    with_gauges.resident_bytes = static_cast<Bytes>(shard.lru.total_cost());
-    total += with_gauges;
-  }
+  AssetStoreStats total = lru_.stats();
   total.build_failures += build_failures_.load(std::memory_order_relaxed);
   return total;
 }

@@ -17,12 +17,13 @@
 // SingleFlight keyed by the *content* key, so two cold sites sharing assets
 // do the DCT/encode work once even when their requests race.
 //
-// Concurrency: sharded like TierCache (mutex + byte-budget LRU + per-shard
-// counters per shard). The shard index is derived from the perceptual hash
-// + recipe, NOT the exact content hash, so near-duplicates land in the same
-// shard and the semantic probe never needs cross-shard locks. Entries hand
-// out shared_ptr<const VariantMemo>: eviction never invalidates a memo a
-// build is still adopting.
+// Concurrency: entries live in the same ShardedByteLru core as TierCache
+// (serving/sharded_lru.h), with each shard also holding its semantic index.
+// The shard index is derived from the perceptual hash + recipe, NOT the
+// exact content hash, so near-duplicates land in the same shard and the
+// semantic probe never needs cross-shard locks. Entries hand out
+// shared_ptr<const VariantMemo>: eviction never invalidates a memo a build
+// is still adopting.
 //
 // Failure containment: acquire() never throws. Any error during fingerprint,
 // probe, or the warming build (injected codec fault, exhausted deadline)
@@ -36,18 +37,16 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "imaging/fingerprint.h"
 #include "imaging/variants.h"
 #include "obs/context.h"
+#include "serving/sharded_lru.h"
 #include "serving/single_flight.h"
 #include "util/bytes.h"
-#include "util/lru.h"
 
 namespace aw4a::serving {
 
@@ -81,10 +80,11 @@ struct AssetStoreStats {
 };
 
 struct AssetStoreOptions {
-  /// Total memo budget, split evenly across shards. Memos are small (measured
-  /// variants, no rasters or payloads), so the default holds a large corpus.
+  /// Total memo budget, split evenly across shards; at least one byte per
+  /// shard. Memos are small (measured variants, no rasters or payloads), so
+  /// the default holds a large corpus.
   Bytes capacity_bytes = 16 * kMB;
-  /// Rounded up to a power of two. 1 is valid (a single mutexed store).
+  /// Rounded up to a power of two; 0 counts as 1 (a single mutexed store).
   std::size_t shards = 8;
   /// Off: only exact fingerprint hits are served (near-dups each build).
   bool semantic_enabled = true;
@@ -115,8 +115,8 @@ class AssetStore : public imaging::AssetLadderSource {
   AssetStoreStats stats() const;  ///< summed over shards
   SingleFlightStats flight_stats() const { return flight_.stats(); }
   std::size_t in_flight() const { return flight_.in_flight(); }
-  std::size_t shard_count() const { return shards_.size(); }
-  Bytes capacity_bytes() const { return shard_capacity_ * shards_.size(); }
+  std::size_t shard_count() const { return lru_.shard_count(); }
+  Bytes capacity_bytes() const { return lru_.capacity_bytes(); }
 
  private:
   struct Entry {
@@ -124,25 +124,20 @@ class AssetStore : public imaging::AssetLadderSource {
     imaging::PlaneF thumbprint;  ///< scored against probes in this bucket
     std::uint64_t ahash = 0;     ///< which semantic bucket holds this key
   };
-  struct Shard {
-    mutable std::mutex mutex;
-    LruMap<AssetKey, Entry, AssetKeyHash> lru;
-    /// Perceptual bucket -> resident keys; maintained by insert/evict so a
-    /// probe touches exactly the co-bucketed candidates.
-    std::unordered_map<std::uint64_t, std::vector<AssetKey>> by_ahash;
-    AssetStoreStats counters;  // guarded by mutex; gauges filled at snapshot
-  };
+  /// Perceptual bucket -> resident keys; maintained by admit and eviction so
+  /// a probe touches exactly the co-bucketed candidates.
+  using BucketIndex = std::unordered_map<std::uint64_t, std::vector<AssetKey>>;
+  using Lru = ShardedByteLru<AssetKey, Entry, AssetKeyHash, AssetStoreStats, BucketIndex>;
 
-  Shard& shard_of(std::uint64_t ahash, std::uint64_t recipe);
+  Lru::Shard& shard_of(std::uint64_t ahash, std::uint64_t recipe);
   /// Inserts under the shard lock, evicting LRU entries to fit and keeping
-  /// by_ahash consistent. No-op when the key landed concurrently.
-  void admit(Shard& shard, const AssetKey& key, std::uint64_t ahash,
+  /// the bucket index consistent. No-op when the key landed concurrently.
+  void admit(Lru::Shard& shard, const AssetKey& key, std::uint64_t ahash,
              imaging::PlaneF thumbprint, const MemoPtr& memo);
   static Bytes entry_cost(const Entry& entry);
 
   AssetStoreOptions options_;
-  Bytes shard_capacity_ = 0;
-  std::deque<Shard> shards_;  // deque: Shard is immovable (mutex member)
+  Lru lru_;
   SingleFlight<AssetKey, imaging::VariantMemo, AssetKeyHash> flight_;
   std::atomic<std::uint64_t> build_failures_{0};
 };

@@ -1,17 +1,15 @@
-// OriginServer: a multi-site AW4A origin in front of the single-page
-// serving core (core/server.h).
-//
-// Where TranscodingServer models one page with its ladder built up front,
-// OriginServer hosts a corpus of sites behind Host-header routing and builds
-// each site's ladder lazily — on the first data-saving request — through a
-// sharded TierCache and a SingleFlight group, so a popular site is built
-// once and served from cache while an unpopular one costs nothing until
-// asked for savings.
+// OriginServer: the AW4A origin (paper §5.2 — transcoding happens at the
+// server, never at a TLS-breaking proxy). It hosts one site or a corpus of
+// them behind Host-header routing and answers every page request with the
+// Fig. 6 decision (core::answer_page_request). Each site's ladder is built
+// lazily — on the first data-saving request — through a sharded TierCache
+// and a SingleFlight group, so a popular site is built once and served from
+// cache while an unpopular one costs nothing until asked for savings.
 //
 // Request flow (handle(), thread-safe, never throws):
 //   non-GET                     -> 405
 //   GET /aw4a/stats             -> metrics snapshot as JSON (any/no Host)
-//   no Host header              -> 400 (multi-site routing needs one)
+//   no Host header              -> 400 (routing needs one)
 //   GET /aw4a/trace (known Host)-> serve the site's page once with tracing
 //                                  on, return the span dump as JSON
 //   unknown Host / unknown path -> 404
@@ -26,8 +24,9 @@
 // through the flight's shared deadline, so one slow joiner never times out
 // a build that someone else still has budget for.
 //
-// Failure containment mirrors PR 1's contract: a failed ladder build serves
-// the degraded original for that request and is NOT cached (the next
+// Failure containment: a failed ladder build (zero usable tiers) serves the
+// degraded original for that request — `AW4A-Tier: none` plus an
+// `AW4A-Degraded` header naming the failure — and is NOT cached (the next
 // request retries); a faulted cache shard ("serving.cache.shard") is
 // bypassed, trading duplicate build work for availability; a failed build
 // leader ("serving.build.leader") fails its whole flight once, degraded.
@@ -75,9 +74,6 @@ struct OriginOptions {
   TierCacheOptions cache;
   /// Off: every data-saving request builds (the bench's baseline mode).
   bool cache_enabled = true;
-  /// Off: concurrent misses on one key all build (duplicate_builds > 0
-  /// under load — the bench quantifies the waste).
-  bool single_flight = true;
   /// Monotonic seconds for TTL and build timing; null = steady_clock.
   /// Injectable so TTL tests don't sleep.
   std::function<double()> clock;
@@ -192,7 +188,6 @@ class OriginServer {
   std::vector<Site> sites_;
   std::unordered_map<std::string, std::size_t> by_host_;
   bool cache_enabled_;
-  bool single_flight_;
   int prewarm_workers_;
   int retry_after_seconds_;
   std::function<double()> clock_;

@@ -76,15 +76,7 @@ TierCacheStats& TierCacheStats::operator+=(const TierCacheStats& other) {
 }
 
 TierCache::TierCache(TierCacheOptions options)
-    : options_(options),
-      shards_(std::bit_ceil(std::max<std::size_t>(std::size_t{1}, options.shards))) {
-  AW4A_EXPECTS(options_.capacity_bytes >= shards_.size());
-  shard_capacity_ = options_.capacity_bytes / shards_.size();
-}
-
-TierCache::Shard& TierCache::shard_of(const TierKey& key) {
-  return shards_[TierKeyHash{}(key) & (shards_.size() - 1)];
-}
+    : options_(options), lru_(options.shards, options.capacity_bytes) {}
 
 double TierCache::effective_ttl(const TierKey& key) const {
   if (options_.ttl_seconds <= 0.0) return 0.0;
@@ -104,7 +96,7 @@ LadderPtr TierCache::fetch(const TierKey& key, double now_seconds,
   if (stale_out != nullptr) *stale_out = false;
   // Outside the lock: a poisoned shard fails the lookup, never deadlocks it.
   AW4A_FAULT_POINT("serving.cache.shard");
-  Shard& shard = shard_of(key);
+  Lru::Shard& shard = lru_.shard(TierKeyHash{}(key));
   const std::lock_guard lock(shard.mutex);
   Resident* resident = shard.lru.touch(key);
   if (resident == nullptr) {
@@ -128,21 +120,14 @@ LadderPtr TierCache::fetch(const TierKey& key, double now_seconds,
   return resident->ladder;
 }
 
-void TierCache::admit_locked(Shard& shard, const TierKey& key, LadderPtr ladder,
+void TierCache::admit_locked(Lru::Shard& shard, const TierKey& key, LadderPtr ladder,
                              double now_seconds) {
   // Charge at least one byte so a pathological zero-cost ladder still
   // participates in eviction accounting.
   const Bytes cost = std::max<Bytes>(ladder->cost_bytes, 1);
-  if (cost > shard_capacity_) {
+  if (!lru_.admit_locked(shard, key, Resident{std::move(ladder), now_seconds}, cost)) {
     ++shard.counters.admission_rejects;
-    return;
   }
-  while (shard.lru.total_cost() + cost > shard_capacity_ && !shard.lru.empty()) {
-    shard.lru.evict_lru();
-    ++shard.counters.evictions;
-  }
-  shard.lru.insert(key, Resident{std::move(ladder), now_seconds}, cost);
-  ++shard.counters.inserts;
 }
 
 bool TierCache::insert(const TierKey& key, LadderPtr ladder, double now_seconds,
@@ -150,7 +135,7 @@ bool TierCache::insert(const TierKey& key, LadderPtr ladder, double now_seconds,
   AW4A_SPAN(ctx, "serving.cache.insert");
   AW4A_EXPECTS(ladder != nullptr && !ladder->tiers.empty());
   AW4A_FAULT_POINT("serving.cache.shard");
-  Shard& shard = shard_of(key);
+  Lru::Shard& shard = lru_.shard(TierKeyHash{}(key));
   const std::lock_guard lock(shard.mutex);
   if (shard.lru.peek(key) != nullptr) return false;  // lost the build race
   admit_locked(shard, key, std::move(ladder), now_seconds);
@@ -162,7 +147,7 @@ bool TierCache::replace(const TierKey& key, LadderPtr ladder, double now_seconds
   AW4A_SPAN(ctx, "serving.cache.insert");
   AW4A_EXPECTS(ladder != nullptr && !ladder->tiers.empty());
   AW4A_FAULT_POINT("serving.cache.shard");
-  Shard& shard = shard_of(key);
+  Lru::Shard& shard = lru_.shard(TierKeyHash{}(key));
   const std::lock_guard lock(shard.mutex);
   // Drop the (typically stale) resident silently: a refresh landing is not
   // an invalidation event, the entry is simply renewed.
@@ -173,58 +158,34 @@ bool TierCache::replace(const TierKey& key, LadderPtr ladder, double now_seconds
 
 std::size_t TierCache::invalidate_site(std::uint64_t site_id) {
   std::size_t dropped = 0;
-  for (Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
+  lru_.for_each_locked([&](Lru::Shard& shard) {
     const std::size_t n = shard.lru.erase_if(
         [site_id](const TierKey& key, const Resident&) { return key.site_id == site_id; });
     shard.counters.invalidations += n;
     dropped += n;
-  }
+  });
   return dropped;
 }
 
 std::size_t TierCache::mark_stale_site(std::uint64_t site_id) {
   std::size_t marked = 0;
-  for (Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    std::size_t in_shard = 0;
+  lru_.for_each_locked([&](Lru::Shard& shard) {
     shard.lru.for_each([&](const TierKey& key, Resident& resident) {
       if (key.site_id == site_id && !resident.stale) {
         resident.stale = true;
-        ++in_shard;
+        ++shard.counters.stale_marks;
+        ++marked;
       }
     });
-    shard.counters.stale_marks += in_shard;
-    marked += in_shard;
-  }
+  });
   return marked;
 }
 
 void TierCache::clear() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
+  lru_.for_each_locked([](Lru::Shard& shard) {
     shard.counters.invalidations += shard.lru.size();
     shard.lru.clear();
-  }
-}
-
-std::vector<TierCacheStats> TierCache::shard_stats() const {
-  std::vector<TierCacheStats> out;
-  out.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    TierCacheStats stats = shard.counters;
-    stats.resident_entries = shard.lru.size();
-    stats.resident_bytes = shard.lru.total_cost();
-    out.push_back(stats);
-  }
-  return out;
-}
-
-TierCacheStats TierCache::stats() const {
-  TierCacheStats total;
-  for (const TierCacheStats& shard : shard_stats()) total += shard;
-  return total;
+  });
 }
 
 }  // namespace aw4a::serving

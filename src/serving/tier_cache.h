@@ -6,11 +6,10 @@
 // stops matching the old entries — no version plumbing, the stale ladders
 // age out of the LRU.
 //
-// Concurrency: the key space is split across power-of-two shards, each a
-// mutex + intrusive LRU (util/lru.h) + its own counters, so serving threads
-// only contend when they hash to the same shard. Ladders are handed out as
-// shared_ptr<const TierLadder>: eviction never invalidates a ladder a
-// response is still reading.
+// Concurrency: entries live in a ShardedByteLru (serving/sharded_lru.h),
+// sharded by the key hash, so serving threads only contend when they hash to
+// the same shard. Ladders are handed out as shared_ptr<const TierLadder>:
+// eviction never invalidates a ladder a response is still reading.
 //
 // Admission: insert() is only ever called with a successfully built,
 // non-empty ladder. Failed builds are served degraded and rebuilt on the
@@ -18,16 +17,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "net/plan.h"
 #include "obs/context.h"
+#include "serving/sharded_lru.h"
 #include "util/bytes.h"
-#include "util/lru.h"
 
 namespace aw4a::serving {
 
@@ -143,10 +140,9 @@ class TierCache {
   /// Drops everything (counted as invalidations).
   void clear();
 
-  TierCacheStats stats() const;  ///< summed over shards
-  std::vector<TierCacheStats> shard_stats() const;
-  std::size_t shard_count() const { return shards_.size(); }
-  Bytes capacity_bytes() const { return shard_capacity_ * shards_.size(); }
+  TierCacheStats stats() const { return lru_.stats(); }  ///< summed over shards
+  std::size_t shard_count() const { return lru_.shard_count(); }
+  Bytes capacity_bytes() const { return lru_.capacity_bytes(); }
 
  private:
   struct Resident {
@@ -154,21 +150,16 @@ class TierCache {
     double inserted_at = 0.0;
     bool stale = false;  ///< mark_stale_site flag; cleared by replace()
   };
-  struct Shard {
-    mutable std::mutex mutex;
-    LruMap<TierKey, Resident, TierKeyHash> lru;
-    TierCacheStats counters;  // guarded by mutex; gauges filled at snapshot
-  };
+  using Lru = ShardedByteLru<TierKey, Resident, TierKeyHash, TierCacheStats>;
 
-  Shard& shard_of(const TierKey& key);
   /// This entry's jittered lifetime (0 when TTL is off).
   double effective_ttl(const TierKey& key) const;
-  /// Shared eviction + admission tail of insert()/replace(). Shard lock held.
-  void admit_locked(Shard& shard, const TierKey& key, LadderPtr ladder, double now_seconds);
+  /// Shared admission tail of insert()/replace(). Shard lock held.
+  void admit_locked(Lru::Shard& shard, const TierKey& key, LadderPtr ladder,
+                    double now_seconds);
 
   TierCacheOptions options_;
-  Bytes shard_capacity_ = 0;
-  std::deque<Shard> shards_;  // deque: Shard is immovable (mutex member)
+  Lru lru_;
 };
 
 }  // namespace aw4a::serving

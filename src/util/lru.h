@@ -1,7 +1,8 @@
 // One LRU eviction core, two very different customers.
 //
-// The browser-device simulation (net::LruByteCache) and the serving tier
-// cache (serving::TierCache) both need the same primitive: a keyed map with
+// The browser-device simulation (net::LruByteCache) and the serving stores
+// (serving::TierCache and serving::AssetStore, through
+// serving::ShardedByteLru) all need the same primitive: a keyed map with
 // strict recency order and a byte-cost budget. The simulation used to do an
 // O(n) min-scan per eviction; at simulation scale that was tolerable, at
 // serving scale it is not. LruMap is the shared core: a doubly-linked
@@ -9,8 +10,9 @@
 // touch / insert / erase / evict.
 //
 // LruMap is deliberately policy-free: no TTL, no capacity, no locking. The
-// device cache layers staleness-by-max-age on top; the tier cache layers
-// TTL + a mutex per shard. Eviction *order* is exactly "least recently
+// device cache layers staleness-by-max-age on top; ShardedByteLru layers
+// shards, a mutex per shard and the byte budget, and the tier cache adds
+// TTL on top of that. Eviction *order* is exactly "least recently
 // touched first", which matches the old min(last_used) scan because every
 // touch was (and is) strictly ordered — simulation outputs are byte-identical
 // across the rewrite (pinned in tests/net_cache_test.cc).

@@ -5,11 +5,9 @@
 #include "core/api.h"
 #include "core/knapsack.h"
 #include "core/rbr.h"
-#include "core/server.h"
 #include "dataset/corpus.h"
 #include "imaging/fingerprint.h"
 #include "util/rng.h"
-#include "util/table.h"
 #include "web/markup.h"
 
 namespace aw4a::core {
@@ -125,23 +123,6 @@ TEST_F(UltraLowTest, PawTierReachesUltraRungsForUnaffordableCountries) {
     exercised = true;
   }
   EXPECT_TRUE(exercised) << "no country demanded ultra depth; fixture too mild";
-}
-
-TEST_F(UltraLowTest, ServerNamesUltraTiersInTheHeader) {
-  TranscodingServer server(*page_, ultra_config());
-  net::HttpRequest request;
-  request.method = "GET";
-  request.path = "/";
-  request.headers.push_back({"Save-Data", "on"});
-  // Savings just under the markup tier's: lands on an ultra tier by gap.
-  request.headers.push_back(
-      {"AW4A-Savings", fmt((*tiers_)[3].savings_fraction() * 100.0, 2)});
-  const net::HttpResponse response = server.handle(request);
-  std::string tier_header;
-  for (const auto& [name, value] : response.headers) {
-    if (name == "AW4A-Tier") tier_header = value;
-  }
-  EXPECT_EQ(tier_header, "markup-rewrite");
 }
 
 TEST(UltraLowSolvers, KnapsackSelectsPlaceholderRungsUnderTightBudgets) {

@@ -1,6 +1,7 @@
-// The multi-site serving subsystem: TierCache policy (LRU bytes, TTL,
-// admission, invalidation), config fingerprinting, SingleFlight semantics,
-// and OriginServer routing / lazy builds / metrics / the stats endpoint.
+// The serving subsystem: TierCache policy (LRU bytes, TTL, admission,
+// invalidation), config fingerprinting, SingleFlight semantics, and
+// OriginServer routing / lazy builds / the Fig. 6 answers on the wire /
+// metrics / the stats endpoint.
 // Concurrency hammering lives in serving_stress_test.cc; this file pins the
 // single-threaded contracts.
 #include "serving/origin.h"
@@ -205,10 +206,17 @@ TEST(TierCache, ClearDropsEverything) {
 }
 
 TEST(TierCache, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(TierCache(TierCacheOptions{.shards = 1}).shard_count(), 1u);
-  EXPECT_EQ(TierCache(TierCacheOptions{.shards = 3}).shard_count(), 4u);
-  EXPECT_EQ(TierCache(TierCacheOptions{.shards = 8}).shard_count(), 8u);
-  EXPECT_EQ(TierCache(TierCacheOptions{.shards = 0}).shard_count(), 1u);
+  // Both stores share one constructor contract (ShardedByteLru).
+  for (const std::size_t shards : {1, 3, 8, 0}) {
+    const std::size_t expected = shards == 3 ? 4 : std::max<std::size_t>(shards, 1);
+    EXPECT_EQ(TierCache(TierCacheOptions{.shards = shards}).shard_count(), expected);
+    EXPECT_EQ(AssetStore(AssetStoreOptions{.shards = shards}).shard_count(), expected);
+  }
+  EXPECT_EQ(TierCache(TierCacheOptions{.capacity_bytes = 4, .shards = 4}).capacity_bytes(), 4u);
+  EXPECT_EQ(AssetStore(AssetStoreOptions{.capacity_bytes = 4, .shards = 3}).capacity_bytes(),
+            4u);
+  EXPECT_THROW(TierCache(TierCacheOptions{.capacity_bytes = 3, .shards = 4}), LogicError);
+  EXPECT_THROW(AssetStore(AssetStoreOptions{.capacity_bytes = 3, .shards = 3}), LogicError);
 }
 
 TEST(ConfigFingerprint, StableForEqualConfigsSensitiveToEveryKnob) {
@@ -483,15 +491,50 @@ class OriginServerTest : public ::testing::Test {
 
 std::vector<web::WebPage>* OriginServerTest::pages_ = nullptr;
 
+/// The keys of the first `"block":{...}` object in a /aw4a/stats body, in
+/// order. A nested object contributes its own key only. Assumes no string
+/// values inside the block, which holds for every numeric stats block.
+std::vector<std::string> block_keys(const std::string& body, const std::string& block) {
+  std::vector<std::string> keys;
+  const std::string opener = "\"" + block + "\":{";
+  std::size_t i = body.find(opener);
+  if (i == std::string::npos) return keys;
+  int depth = 0;
+  for (i += opener.size(); i < body.size(); ++i) {
+    if (body[i] == '{') {
+      ++depth;
+    } else if (body[i] == '}') {
+      if (depth-- == 0) break;
+    } else if (body[i] == '"' && depth == 0) {
+      const std::size_t close = body.find('"', i + 1);
+      keys.push_back(body.substr(i + 1, close - i - 1));
+      i = close;
+    }
+  }
+  return keys;
+}
+
 TEST_F(OriginServerTest, RoutesByHostCaseInsensitively) {
   const OriginServer origin(sites());
   EXPECT_EQ(origin.site_count(), 2u);
   const auto a = origin.handle(get("a.example"));
   const auto b = origin.handle(get("b.example:8080"));
+  net::HttpRequest index = get("a.example");
+  index.path = "/index.html";  // the page's alias
+  const auto a_index = origin.handle(index);
   EXPECT_EQ(a.status, 200);
   EXPECT_EQ(b.status, 200);
+  EXPECT_EQ(a_index.status, 200);
   EXPECT_EQ(a.content_length, (*pages_)[0].transfer_size());
   EXPECT_EQ(b.content_length, (*pages_)[1].transfer_size());
+  EXPECT_EQ(a_index.content_length, (*pages_)[0].transfer_size());
+  ASSERT_NE(a.header("AW4A-Tier"), nullptr);
+  EXPECT_EQ(*a.header("AW4A-Tier"), "original");
+  // The body varies with every data-saving hint; caches must key on all.
+  ASSERT_NE(a.header("Vary"), nullptr);
+  for (const char* hint : {"Save-Data", "X-Geo-Country", "AW4A-Savings"}) {
+    EXPECT_NE(a.header("Vary")->find(hint), std::string::npos) << hint;
+  }
 }
 
 TEST_F(OriginServerTest, RoutingErrorsAreCountedAndTyped) {
@@ -500,10 +543,15 @@ TEST_F(OriginServerTest, RoutingErrorsAreCountedAndTyped) {
   EXPECT_EQ(origin.handle(get("nobody.example")).status, 404);
   net::HttpRequest bad_path = get("a.example");
   bad_path.path = "/admin";
-  EXPECT_EQ(origin.handle(bad_path).status, 404);
+  const auto not_found = origin.handle(bad_path);
+  EXPECT_EQ(not_found.status, 404);
+  EXPECT_EQ(not_found.content_length, 0u);
   net::HttpRequest post = get("a.example");
   post.method = "POST";
-  EXPECT_EQ(origin.handle(post).status, 405);
+  const auto not_allowed = origin.handle(post);
+  EXPECT_EQ(not_allowed.status, 405);
+  ASSERT_NE(not_allowed.header("Allow"), nullptr);
+  EXPECT_EQ(*not_allowed.header("Allow"), "GET");
   const MetricsSnapshot m = origin.metrics();
   EXPECT_EQ(m.requests_total, 4u);
   EXPECT_EQ(m.bad_request, 1u);
@@ -526,11 +574,22 @@ TEST_F(OriginServerTest, NonSavingRequestsNeverTriggerABuild) {
 TEST_F(OriginServerTest, FirstSavingRequestBuildsThenCacheServes) {
   const OriginServer origin(sites());
   const auto saver = get("a.example", {{"Save-Data", "on"}, {"X-Geo-Country", "ET"}});
-  const auto first = origin.handle(saver);
+  // The full loop a proxyless origin runs: the browser's request is parsed
+  // off the wire, and the answer survives serialize/parse on the way back.
+  const auto server_side = net::parse_request(net::serialize(saver));
+  ASSERT_TRUE(server_side.has_value());
+  const auto first_sent = origin.handle(*server_side);
+  const auto client_side = net::parse_response(net::serialize(first_sent));
+  ASSERT_TRUE(client_side.has_value());
+  const net::HttpResponse& first = *client_side;
   EXPECT_EQ(first.status, 200);
+  EXPECT_EQ(first.content_length, first_sent.content_length);
   EXPECT_LT(first.content_length, (*pages_)[0].transfer_size());
   ASSERT_NE(first.header("AW4A-Tier"), nullptr);
   EXPECT_NE(*first.header("AW4A-Tier"), "none");
+  ASSERT_NE(first.header("AW4A-Reason"), nullptr);
+  EXPECT_NE(first.header("AW4A-Reason")->find("Ethiopia"), std::string::npos)
+      << *first.header("AW4A-Reason");
   const auto second = origin.handle(saver);
   EXPECT_EQ(second.content_length, first.content_length);
 
@@ -550,11 +609,35 @@ TEST_F(OriginServerTest, FirstSavingRequestBuildsThenCacheServes) {
 
 TEST_F(OriginServerTest, SavingsPreferenceIsServedAndCounted) {
   const OriginServer origin(sites());
+  const Bytes original = (*pages_)[0].transfer_size();
   const auto response =
       origin.handle(get("a.example", {{"Save-Data", "on"}, {"AW4A-Savings", "50"}}));
   EXPECT_EQ(response.status, 200);
   EXPECT_NE(response.header("AW4A-Savings-Achieved"), nullptr);
   EXPECT_EQ(origin.metrics().served_preference_tier, 1u);
+
+  // Germany alone already meets the affordability target: the original.
+  const auto affordable =
+      origin.handle(get("a.example", {{"Save-Data", "on"}, {"X-Geo-Country", "DE"}}));
+  EXPECT_EQ(affordable.content_length, original);
+  // An explicit savings preference overrides the country.
+  const auto pinned = origin.handle(
+      get("a.example", {{"Save-Data", "on"}, {"X-Geo-Country", "DE"}, {"AW4A-Savings", "65"}}));
+  EXPECT_LT(pinned.content_length, original);
+  EXPECT_NE(pinned.header("AW4A-Savings-Achieved"), nullptr);
+  // "Atlantis" fails ISO-2 validation at the HTTP layer; "XX" is well-formed
+  // but matches no country. Both degrade to a preference of 0% savings.
+  for (const char* hint : {"Atlantis", "XX"}) {
+    const auto unknown =
+        origin.handle(get("a.example", {{"Save-Data", "on"}, {"X-Geo-Country", hint}}));
+    EXPECT_EQ(unknown.status, 200) << hint;
+    ASSERT_NE(unknown.header("AW4A-Tier"), nullptr) << hint;
+    EXPECT_NE(*unknown.header("AW4A-Tier"), "none") << hint;
+  }
+  const MetricsSnapshot m = origin.metrics();
+  EXPECT_EQ(m.served_original, 1u);
+  EXPECT_EQ(m.served_preference_tier, 4u);
+  EXPECT_EQ(m.builds_started, 1u);
 }
 
 TEST_F(OriginServerTest, CacheDisabledBuildsEveryTime) {
@@ -683,12 +766,28 @@ TEST_F(OriginServerTest, StatsEndpointSpeaksJsonOverTheWire) {
   EXPECT_EQ(*stats.header("Content-Type"), "application/json");
   EXPECT_EQ(stats.content_length, stats.body.size());
   for (const char* needle :
-       {"\"sites\":2", "\"requests\":", "\"cache\":", "\"hit_rate\":", "\"builds\":",
-        "\"latency_seconds\":", "\"served_page_bytes\":", "\"duplicates\":0",
-        "\"asset_store\":", "\"exact_hits\":", "\"semantic_hits\":", "\"probes\":"}) {
+       {"\"sites\":2", "\"requests\":", "\"served_page_bytes\":", "\"duplicates\":0",
+        "\"single_flight\":true"}) {
     EXPECT_NE(stats.body.find(needle), std::string::npos) << needle << " missing in\n"
                                                           << stats.body;
   }
+  // The key set operators and dashboards read, pinned block by block.
+  EXPECT_EQ(block_keys(stats.body, "cache"),
+            (std::vector<std::string>{"enabled", "shards", "capacity_bytes", "hits", "misses",
+                                      "hit_rate", "inserts", "evictions", "expirations",
+                                      "invalidations", "admission_rejects", "stale_marks",
+                                      "stale_hits", "resident_entries", "resident_bytes",
+                                      "bypasses"}));
+  EXPECT_EQ(block_keys(stats.body, "builds"),
+            (std::vector<std::string>{"started", "failed", "duplicates", "single_flight",
+                                      "leads", "joins", "latency_seconds"}));
+  EXPECT_EQ(block_keys(stats.body, "latency_seconds"),
+            (std::vector<std::string>{"count", "mean", "p50", "p90", "p99", "max"}));
+  EXPECT_EQ(block_keys(stats.body, "asset_store"),
+            (std::vector<std::string>{"enabled", "shards", "capacity_bytes", "entries", "bytes",
+                                      "lookups", "exact_hits", "semantic_hits", "misses",
+                                      "probes", "inserts", "evictions", "build_failures",
+                                      "flight_leads", "flight_joins"}));
   // Round-trips the wire: the body survives serialize/parse.
   const auto parsed = net::parse_response(net::serialize(stats));
   ASSERT_TRUE(parsed.has_value());
@@ -766,12 +865,19 @@ TEST_F(OriginServerTest, TierKindCountersPartitionTierAnswers) {
   ASSERT_NE(mild.header("AW4A-Tier"), nullptr);
   EXPECT_EQ(*mild.header("AW4A-Tier"), "0") << "image tiers keep their bare index";
 
+  // The deepest ask the header admits lands on the deepest rung, by name.
+  const auto deepest =
+      origin.handle(get("u.example", {{"Save-Data", "on"}, {"AW4A-Savings", "99.9"}}));
+  ASSERT_NE(deepest.header("AW4A-Tier"), nullptr);
+  EXPECT_EQ(*deepest.header("AW4A-Tier"), "markup-rewrite");
+
   const MetricsSnapshot m = origin.metrics();
   EXPECT_EQ(m.served_kind_image, 1u);
   EXPECT_EQ(m.served_kind_image + m.served_kind_text_only + m.served_kind_markup_rewrite,
             m.served_paw_tier + m.served_preference_tier)
       << "every tier answer names its rung kind";
-  EXPECT_EQ(m.served_kind_text_only + m.served_kind_markup_rewrite, 1u);
+  EXPECT_EQ(m.served_kind_text_only + m.served_kind_markup_rewrite, 2u);
+  EXPECT_GE(m.served_kind_markup_rewrite, 1u);
 
   net::HttpRequest stats_request;
   stats_request.path = "/aw4a/stats";

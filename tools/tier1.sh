@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the full test suite in the standard configuration, plus the
-# robustness, asset-store, rANS-coder, and markup suites under ASan+UBSan
-# (fault injection, eviction churn, attacker-controlled entropy-coded
+# robustness, serving, asset-store, rANS-coder, and markup suites under
+# ASan+UBSan (fault injection, the origin's wire answers and the eviction
+# paths of the shared sharded LRU, attacker-controlled entropy-coded
 # payloads, and the length-prefixed AWML parser on truncated/tampered blobs
 # exercise the error paths — exactly where lifetime and UB bugs hide) and the
 # resize, SSIM and ladder suites (the redisplay and SSIM kernels make raw
@@ -25,11 +26,23 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure --timeout 300 -j "$(nproc)")
 
+# The transcoding_server fault drills: two runs under the same seeded codec
+# faults must print byte-identical exchanges, and with every webp encode
+# failing no tier can build, so the origin must still exit 0 and answer data
+# savers with the degraded original (AW4A-Tier: none).
+drill_dir="$(mktemp -d)"
+AW4A_FAULTS=codec.jpeg.encode:0.3,seed=42 ./build/examples/transcoding_server > "$drill_dir/a"
+AW4A_FAULTS=codec.jpeg.encode:0.3,seed=42 ./build/examples/transcoding_server > "$drill_dir/b"
+diff "$drill_dir/a" "$drill_dir/b"
+AW4A_FAULTS=codec.webp.encode:1.0 ./build/examples/transcoding_server > "$drill_dir/none"
+grep -q '^< AW4A-Tier: none$' "$drill_dir/none"
+rm -rf "$drill_dir"
+
 cmake -B build-asan -S . -DAW4A_SANITIZE=ON >/dev/null
-cmake --build build-asan -j --target robustness_test serving_asset_store_test imaging_ans_test web_markup_test \
+cmake --build build-asan -j --target robustness_test serving_test serving_asset_store_test imaging_ans_test web_markup_test \
   imaging_resize_test imaging_ssim_test imaging_variants_test imaging_codec_test imaging_codec_detail_test \
   imaging_raster_test core_ladder_families_test core_qfs_memo_test web_render_test >/dev/null
-(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_asset_store_test|imaging_ans_test|web_markup_test|imaging_(resize|ssim|variants|codec|codec_detail|raster)_test|core_ladder_families_test|core_qfs_memo_test|web_render_test)$')
+(cd build-asan && ctest --output-on-failure --timeout 300 -R '^(robustness_test|serving_test|serving_asset_store_test|imaging_ans_test|web_markup_test|imaging_(resize|ssim|variants|codec|codec_detail|raster)_test|core_ladder_families_test|core_qfs_memo_test|web_render_test)$')
 
 cmake -B build-ubsan -S . -DAW4A_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j >/dev/null
