@@ -127,11 +127,14 @@ std::vector<RbrGridComparison> compare_rbr_grid(const RbrGridOptions& options) {
   std::vector<RbrGridComparison> out;
   for (const WebPage& page : pages) {
     // Each solver pays for its own variant enumeration (the paper ran them
-    // independently), so the ladder caches are separate.
-    imaging::LadderOptions ladder_options;
-    ladder_options.min_ssim = options.quality_threshold - 0.15;
-    core::LadderCache rbr_ladders(ladder_options);
-    core::LadderCache grid_ladders(ladder_options);
+    // independently), so the ladder caches are separate, each as deep as its
+    // solver reads.
+    imaging::LadderOptions rbr_ladder_options;
+    rbr_ladder_options.min_ssim = core::rbr_ladder_min_ssim(options.quality_threshold);
+    imaging::LadderOptions grid_ladder_options;
+    grid_ladder_options.min_ssim = core::grid_ladder_min_ssim(options.quality_threshold);
+    core::LadderCache rbr_ladders(rbr_ladder_options);
+    core::LadderCache grid_ladders(grid_ladder_options);
     const Bytes original = page.transfer_size();
 
     for (double red = options.min_reduction; red <= options.max_reduction + 1e-9;
@@ -182,7 +185,7 @@ namespace {
 /// RBR-only reduction of one page to `target`; returns (met, qss).
 std::pair<bool, double> rbr_reduce_page(const WebPage& page, Bytes target, double qt) {
   imaging::LadderOptions ladder_options;
-  ladder_options.min_ssim = qt - 0.15;
+  ladder_options.min_ssim = core::rbr_ladder_min_ssim(qt);
   core::LadderCache ladders(ladder_options);
   core::RbrOptions rbr_options;
   rbr_options.quality_threshold = qt;
@@ -245,17 +248,19 @@ BlanketReductionResult blanket_reduction(const CountryReductionOptions& options)
     const auto pages = gen.country_pages(*country, options.pages_per_country);
     int met = 0;
     for (const WebPage& page : pages) {
+      // Reduce every image to its deepest rung with SSIM >= 0.9 — no
+      // ranking, no early stop: the blanket policy of Fig. 15. The walk is
+      // RBR's, so the ladders are as deep as RBR's at the same Qt.
+      constexpr double kQt = 0.9;
       imaging::LadderOptions ladder_options;
-      ladder_options.min_ssim = 0.75;
+      ladder_options.min_ssim = core::rbr_ladder_min_ssim(kQt);
       core::LadderCache ladders(ladder_options);
       web::ServedPage served = web::serve_original(page);
-      // Reduce every image to its deepest rung with SSIM >= 0.9 — no
-      // ranking, no early stop: the blanket policy of Fig. 15.
       for (const web::WebObject* object : core::rich_images(page)) {
         auto& ladder = ladders.ladder_for(*object);
         const imaging::ImageVariant* deepest = nullptr;
         for (const auto& v : ladder.resolution_family(object->image->format)) {
-          if (v.ssim + 1e-12 < 0.9) break;
+          if (!imaging::meets_ssim(v.ssim, kQt)) break;
           deepest = &v;
         }
         if (deepest != nullptr && deepest->bytes < object->transfer_bytes) {

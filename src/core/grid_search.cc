@@ -71,7 +71,7 @@ GridSearchOutcome grid_search(web::ServedPage& served, Bytes target_bytes,
     // rungs, so it only enters the move set when the search runs with an
     // ultra-low Qt — where it is byte-minimal and unlocks the deep tiers.
     if (const auto ph = ladders.placeholder_rung(*object);
-        ph && ph->ssim + 1e-12 >= options.quality_threshold) {
+        ph && imaging::meets_ssim(ph->ssim, options.quality_threshold)) {
       slot.candidates.push_back({*ph, slot.area * ph->ssim});
     }
     if (slot.candidates.empty()) {

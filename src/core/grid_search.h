@@ -10,6 +10,8 @@
 // it timing out on 40/171 runs.
 #pragma once
 
+#include <algorithm>
+
 #include "core/objective.h"
 
 namespace aw4a::core {
@@ -29,6 +31,12 @@ struct GridSearchOptions {
   /// bounded brute force would.
   bool branch_and_bound = true;
 };
+
+/// The ladder floor (LadderOptions::min_ssim) Grid Search needs at threshold
+/// `qt`: each level takes the cheapest of *every* quality rung that clears it,
+/// not a prefix, and SSIM is non-monotone in codec quality (Fig. 8), so its
+/// quality families are measured 0.15 below Qt.
+inline double grid_ladder_min_ssim(double qt) { return std::max(0.0, qt - 0.15); }
 
 struct GridSearchOutcome {
   bool met_target = false;

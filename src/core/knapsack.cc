@@ -64,7 +64,7 @@ KnapsackOutcome knapsack_optimize(web::ServedPage& served, Bytes target_bytes,
     // an ultra-low threshold it is the byte-minimal choice, so the
     // feasibility floor — and therefore tight budgets — select it.
     if (const auto ph = ladders.placeholder_rung(*object);
-        ph && ph->ssim + 1e-12 >= options.quality_threshold) {
+        ph && imaging::meets_ssim(ph->ssim, options.quality_threshold)) {
       const std::size_t cost = static_cast<std::size_t>(
           (ph->bytes + options.byte_granularity - 1) / options.byte_granularity);
       cands.push_back({*ph, area * ph->ssim, cost});

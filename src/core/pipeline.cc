@@ -26,9 +26,13 @@ Aw4aPipeline::Aw4aPipeline(DeveloperConfig config) : config_(std::move(config)) 
 
 imaging::LadderOptions Aw4aPipeline::ladder_options() const {
   imaging::LadderOptions options;
-  // A little slack below Qt so the Bytes Efficiency probe can reach the
-  // threshold from below.
-  options.min_ssim = std::max(0.0, config_.min_image_ssim - 0.15);
+  // As deep as the Stage-2 solver reads, like ladder_families(): HBS's RBR
+  // walk stops at each resolution family's first rung below Qt, while Grid
+  // Search scans whole quality families and keeps its slack below Qt.
+  const double qt = config_.min_image_ssim;
+  options.min_ssim = config_.stage2 == DeveloperConfig::Stage2::kGridSearch
+                         ? grid_ladder_min_ssim(qt)
+                         : rbr_ladder_min_ssim(qt);
   options.entropy_backend = config_.entropy_backend;
   // Ultra-low tiers extend the rung space with the placeholder rung; with
   // both tiers off these three fields keep their defaults, so image-only

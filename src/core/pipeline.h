@@ -152,9 +152,11 @@ class Aw4aPipeline {
                                       LadderCache& ladders,
                                       const obs::RequestContext& ctx) const;
 
-  /// Ladder enumeration options implied by this config (the Qt threshold with
-  /// slack for the Bytes Efficiency probe). A LadderCache shared across calls
-  /// must be built with exactly these options.
+  /// Ladder enumeration options implied by this config. The floor min_ssim is
+  /// derived from `stage2`, as deep as that solver reads: Qt itself for HBS
+  /// (rbr_ladder_min_ssim), Qt - 0.15 for Grid Search (grid_ladder_min_ssim).
+  /// A LadderCache shared across calls must be built with exactly these
+  /// options.
   imaging::LadderOptions ladder_options() const;
 
   /// The ladder families this config's Stage-2 solver reads, derived from

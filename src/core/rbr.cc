@@ -76,6 +76,7 @@ std::vector<std::pair<std::uint64_t, double>> reducibility_ranking(
 RbrOutcome rank_based_reduce(web::ServedPage& served, Bytes target_bytes, LadderCache& ladders,
                              const RbrOptions& options, const obs::RequestContext& ctx) {
   AW4A_EXPECTS(served.page != nullptr);
+  AW4A_EXPECTS(options.quality_threshold >= ladders.options().min_ssim);
   AW4A_SPAN(ctx, "stage2.rbr");
   const web::WebPage& page = *served.page;
   RbrOutcome outcome;
@@ -97,7 +98,7 @@ RbrOutcome rank_based_reduce(web::ServedPage& served, Bytes target_bytes, Ladder
       if (object->image->format != imaging::ImageFormat::kPng) continue;
       auto& ladder = ladders.ladder_for(*object, ctx);
       const imaging::ImageVariant& webp = ladder.webp_full(ctx);
-      if (webp.ssim + 1e-12 >= options.quality_threshold &&
+      if (imaging::meets_ssim(webp.ssim, options.quality_threshold) &&
           webp.bytes < object->transfer_bytes) {
         served.images[object->id] = web::ServedImage{.variant = webp, .dropped = false};
         ++outcome.images_touched;
@@ -132,7 +133,7 @@ RbrOutcome rank_based_reduce(web::ServedPage& served, Bytes target_bytes, Ladder
     bool touched = false;
     for (const imaging::ImageVariant& step : family) {
       if (step.scale >= current_scale - 1e-9) continue;         // already below this rung
-      if (step.ssim + 1e-12 < options.quality_threshold) break; // Qt floor reached
+      if (!imaging::meets_ssim(step.ssim, options.quality_threshold)) break;  // Qt floor reached
       if (step.bytes >= current_bytes) continue;  // non-monotone rung: skip, keep walking
       served.images[object_id] = web::ServedImage{.variant = step, .dropped = false};
       current_bytes = step.bytes;
@@ -161,7 +162,7 @@ RbrOutcome rank_based_reduce(web::ServedPage& served, Bytes target_bytes, Ladder
       const web::WebObject* object = page.find(object_id);
       if (object == nullptr || served.is_dropped(object_id)) continue;
       const auto ph = ladders.placeholder_rung(*object);
-      if (!ph || ph->ssim + 1e-12 < options.quality_threshold) continue;
+      if (!ph || !imaging::meets_ssim(ph->ssim, options.quality_threshold)) continue;
       Bytes current_bytes = object->transfer_bytes;
       if (const auto it = served.images.find(object_id);
           it != served.images.end() && it->second.variant) {

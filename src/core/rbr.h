@@ -27,6 +27,12 @@ struct RbrOptions {
   bool webp_pass = true;
 };
 
+/// The ladder floor (LadderOptions::min_ssim) RBR reads down to at
+/// threshold `qt`: the walk and bytes_efficiency stop at a resolution
+/// family's first rung failing imaging::meets_ssim(·, qt), so no rung past
+/// that one is ever read.
+constexpr double rbr_ladder_min_ssim(double qt) { return qt; }
+
 struct RbrOutcome {
   bool met_target = false;
   Bytes bytes_after = 0;
@@ -40,7 +46,8 @@ struct RbrOutcome {
 /// Anytime under a context deadline: the greedy loop stops between images
 /// when the budget runs out, keeping the reductions already applied (they
 /// are each individually safe), so the caller gets the best page reachable
-/// in the time allowed rather than an exception.
+/// in the time allowed rather than an exception. Requires the ladders'
+/// min_ssim at or below Qt, so no family ends before the walk does.
 RbrOutcome rank_based_reduce(web::ServedPage& served, Bytes target_bytes, LadderCache& ladders,
                              const RbrOptions& options = {},
                              const obs::RequestContext& ctx = obs::RequestContext::none());

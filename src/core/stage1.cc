@@ -47,7 +47,8 @@ Bytes apply_stage1(web::ServedPage& served, LadderCache& ladders, const Stage1Op
         if (served.images.count(object.id)) break;
         auto& ladder = ladders.ladder_for(object, ctx);
         const imaging::ImageVariant& webp = ladder.webp_full(ctx);
-        const bool visually_equivalent = webp.ssim + 1e-12 >= options.min_transcode_ssim;
+        const bool visually_equivalent =
+            imaging::meets_ssim(webp.ssim, options.min_transcode_ssim);
         const bool smaller = webp.bytes < object.transfer_bytes;
         if (visually_equivalent && smaller) {
           served.images[object.id] = web::ServedImage{.variant = webp, .dropped = false};

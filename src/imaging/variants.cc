@@ -293,7 +293,7 @@ void VariantLadder::enumerate_full_resolution(ImageFormat extra, bool quality,
     for (const int q : options_.quality_steps) {
       if (q >= asset_->ship_quality) continue;  // upcoding never helps
       family.push_back(measure_rung(format, asset_->original, prepares, 1.0, q, ctx));
-      if (family.back().ssim < options_.min_ssim) break;
+      if (!meets_ssim(family.back().ssim, options_.min_ssim)) break;
     }
   }
   webp_full_ = std::move(webp);
@@ -306,7 +306,7 @@ void VariantLadder::enumerate_resolution(ImageFormat extra, const obs::RequestCo
   struct Pending {
     ImageFormat format;
     std::vector<ImageVariant> family;
-    bool done = false;  ///< a below-floor point was measured
+    bool done = false;  ///< a rung failing the floor was measured
   };
   std::vector<Pending> pending;
   for (const ImageFormat format : family_formats(extra)) {
@@ -326,8 +326,10 @@ void VariantLadder::enumerate_resolution(ImageFormat extra, const obs::RequestCo
       if (p.done) continue;
       p.family.push_back(
           measure_rung(p.format, reduced, prepares, s, asset_->ship_quality, ctx));
-      // Keep one below-floor point as a sentinel, then stop this family.
-      p.done = p.family.back().ssim < options_.min_ssim;
+      // Keep the first rung failing the floor as a sentinel, then stop this
+      // family: the readers' own predicate, so no rung a reader accepts at
+      // Qt >= min_ssim can end the family.
+      p.done = !meets_ssim(p.family.back().ssim, options_.min_ssim);
     }
   }
   for (Pending& p : pending) res_family_[format_index(p.format)] = std::move(p.family);
@@ -352,42 +354,29 @@ const ImageVariant& VariantLadder::webp_full(const obs::RequestContext& ctx) {
   return *webp_full_;
 }
 
-std::optional<ImageVariant> VariantLadder::cheapest_with_ssim_at_least(
-    double target, const obs::RequestContext& ctx) {
-  std::optional<ImageVariant> best = original();
-  auto consider = [&](const ImageVariant& v) {
-    if (v.ssim + 1e-12 >= target && (!best || v.bytes < best->bytes)) best = v;
-  };
-  consider(webp_full(ctx));
-  for (const auto& v : resolution_family(asset_->format, ctx)) consider(v);
-  for (const auto& v : resolution_family(ImageFormat::kWebp, ctx)) consider(v);
-  for (const auto& v : quality_family(asset_->format, ctx)) consider(v);
-  for (const auto& v : quality_family(ImageFormat::kWebp, ctx)) consider(v);
-  if (best && best->ssim + 1e-12 < target) return std::nullopt;  // original below target?!
-  return best;
-}
-
 std::optional<ImageVariant> VariantLadder::cheapest_fullres_with_ssim_at_least(
     double target, const obs::RequestContext& ctx) {
   std::optional<ImageVariant> best = original();
   auto consider = [&](const ImageVariant& v) {
-    if (v.ssim + 1e-12 >= target && (!best || v.bytes < best->bytes)) best = v;
+    if (meets_ssim(v.ssim, target) && (!best || v.bytes < best->bytes)) best = v;
   };
   consider(webp_full(ctx));
   for (const auto& v : quality_family(asset_->format, ctx)) consider(v);
   for (const auto& v : quality_family(ImageFormat::kWebp, ctx)) consider(v);
-  if (best && best->ssim + 1e-12 < target) return std::nullopt;
+  if (best && !meets_ssim(best->ssim, target)) return std::nullopt;
   return best;
 }
 
 double VariantLadder::bytes_efficiency(double ssim_threshold, const obs::RequestContext& ctx) {
   // Walk the resolution family of the shipped format down to the threshold;
   // use only points where both bytes and SSIM decreased (the paper considers
-  // only the monotone part of the curve).
+  // only the monotone part of the curve). A family floored above the
+  // threshold would end before the walk does.
+  AW4A_EXPECTS(ssim_threshold >= options_.min_ssim);
   const ImageVariant base = original();
   const ImageVariant* deepest = nullptr;
   for (const auto& v : resolution_family(asset_->format, ctx)) {
-    if (v.ssim + 1e-12 < ssim_threshold) break;
+    if (!meets_ssim(v.ssim, ssim_threshold)) break;
     if (v.bytes < base.bytes && v.ssim < base.ssim) deepest = &v;
   }
   if (deepest == nullptr) return 0.0;
@@ -421,19 +410,6 @@ void VariantLadder::adopt(const VariantMemo& memo) {
 void VariantLadder::warm(const obs::RequestContext& ctx) {
   enumerate_full_resolution(asset_->format, families_.quality, ctx);
   if (families_.resolution) enumerate_resolution(asset_->format, ctx);
-}
-
-std::vector<ImageVariant> VariantLadder::all_variants() const {
-  std::vector<ImageVariant> out;
-  out.push_back(original());
-  for (const auto& family : res_family_) {
-    if (family) out.insert(out.end(), family->begin(), family->end());
-  }
-  for (const auto& family : qual_family_) {
-    if (family) out.insert(out.end(), family->begin(), family->end());
-  }
-  if (webp_full_) out.push_back(*webp_full_);
-  return out;
 }
 
 Raster VariantLadder::render_variant(const ImageVariant& v) const {

@@ -15,6 +15,8 @@
 // LadderFamilies say which of the resolution and quality families it
 // measures eagerly (warm(), the joint full-resolution pass) beside the
 // always-warmed transcode; any family is still measured on first read.
+// LadderOptions::min_ssim says how deep: each family ends at its first rung
+// below that floor.
 #pragma once
 
 #include <memory>
@@ -85,12 +87,21 @@ struct ImageVariant {
   bool is_original = false;
 };
 
+/// The one acceptance predicate of a quality point against a threshold: every
+/// solver filter, the RBR walk and the family enumerators' stop rules use it,
+/// so a rung a reader accepts can never be the rung that ends its family. The
+/// 1e-12 slack absorbs the last-bit noise of an SSIM sum that lands on Qt.
+constexpr bool meets_ssim(double ssim, double threshold) { return ssim + 1e-12 >= threshold; }
+
 struct LadderOptions {
   /// Image-quality metric used for every variant measurement (§6.2: the
   /// framework accepts newer metrics as they appear).
   QualityMetric metric = QualityMetric::kSsim;
-  /// Floor below which variants are not enumerated (a little slack below any
-  /// practical Qt so the Bytes Efficiency probe can reach the threshold).
+  /// Depth of the families: each one ends at its first rung that fails
+  /// meets_ssim(ssim, min_ssim), kept as a sentinel. A reader that stops at
+  /// its first rung below Qt (the RBR walk, bytes_efficiency) needs no more
+  /// than min_ssim = Qt; one that takes the cheapest of every rung at or above
+  /// a level on a non-monotone SSIM surface (Grid Search) needs slack below.
   double min_ssim = 0.60;
   /// Resolution step of the RBR family (paper: "resolution granularity").
   double scale_granularity = 0.1;
@@ -211,8 +222,10 @@ class VariantLadder {
   // independent of when a deadline fired.
 
   /// Resolution family in `format`: scale 1-g, 1-2g, ... (SSIM-measured).
-  /// Stops at min_scale or when SSIM drops below min_ssim. Enumerated jointly
-  /// with the other standard resolution family (enumerate_resolution).
+  /// Stops at min_scale or after its first rung failing meets_ssim(·,
+  /// min_ssim), so a ladder built at min_ssim = Qt holds exactly the prefix
+  /// the RBR walk reads plus the rung that stops it. Enumerated jointly with
+  /// the other standard resolution family (enumerate_resolution).
   const std::vector<ImageVariant>& resolution_family(
       ImageFormat format, const obs::RequestContext& ctx = obs::RequestContext::none());
 
@@ -233,13 +246,11 @@ class VariantLadder {
   /// include them; alone, it is one rung.
   const ImageVariant& webp_full(const obs::RequestContext& ctx = obs::RequestContext::none());
 
-  /// Cheapest enumerated variant (across both families and formats plus the
-  /// WebP transcode) with ssim >= target; nullopt if none qualifies.
-  std::optional<ImageVariant> cheapest_with_ssim_at_least(
-      double target, const obs::RequestContext& ctx = obs::RequestContext::none());
-
-  /// Same, but restricted to full-resolution variants (quality families and
-  /// the WebP transcode) — the move set of the paper's Grid Search, which
+  /// Cheapest full-resolution variant (the original, the quality families
+  /// and the WebP transcode) that meets_ssim(·, target); nullopt if none
+  /// does. Every quality rung counts, not just a prefix, so a quality family
+  /// must reach below `target` (min_ssim with slack) for the answer to be
+  /// exact. This is the move set of the paper's Grid Search, which
   /// reduces image *quality* "while maintaining their original dimensions"
   /// (§7.1). RBR's resolution ladder is excluded on purpose: the two solvers
   /// searching different spaces is why each can win on some inputs.
@@ -248,12 +259,10 @@ class VariantLadder {
 
   /// Paper Eq. 6: |delta bytes| / |delta SSIM| between the original and the
   /// smallest in-threshold variant of the resolution family (monotone points
-  /// only). Higher = more reducible.
+  /// only). Higher = more reducible. Requires ssim_threshold >= min_ssim: the
+  /// family must reach the threshold.
   double bytes_efficiency(double ssim_threshold,
                           const obs::RequestContext& ctx = obs::RequestContext::none());
-
-  /// Everything enumerated so far (for Fig. 8 style dumps and tests).
-  std::vector<ImageVariant> all_variants() const;
 
   /// Copies every memoized family into a shareable memo (unset slots stay
   /// unset — snapshot never forces enumeration).
@@ -310,8 +319,9 @@ class VariantLadder {
 
   /// Fills every unset resolution family of family_formats(extra) in one
   /// pass, scale by scale: each scale's reduced raster (and, for an opaque
-  /// source, its one lossy prepare) serves every family still above the
-  /// SSIM floor, then is freed. Aborted passes memoize nothing.
+  /// source, its one lossy prepare) serves every family that has not yet
+  /// measured a rung failing the min_ssim floor, then is freed. Aborted passes
+  /// memoize nothing.
   void enumerate_resolution(ImageFormat extra, const obs::RequestContext& ctx);
 
   /// The original's SSIM reference (its luma plus per-window sums), built on

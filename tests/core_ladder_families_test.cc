@@ -1,11 +1,14 @@
 // Demand-driven ladder families (DESIGN.md §10, §12): a pipeline's ladders,
 // prewarm and asset-store warms measure only the families its Stage-2 solver
-// reads (Aw4aPipeline::ladder_families). The load-bearing properties pinned
-// here:
+// reads (Aw4aPipeline::ladder_families), and only as deep as it reads them
+// (Aw4aPipeline::ladder_options().min_ssim). The load-bearing properties
+// pinned here:
 //   - tiers are bit-identical to a build whose ladders hold every family,
 //     for HBS and Grid Search, Huffman and rANS, with and without the
 //     ultra-low tiers, the asset store, and the parallel prewarm;
 //   - an HBS build shares memos without quality families and encodes less;
+//   - an HBS build's Qt-deep resolution families give the tiers of families
+//     measured 0.15 deeper, with strictly fewer encodes and prepares;
 //   - a Grid Search build keeps the joint full-resolution pass, so it runs
 //     exactly the encodes and prepares of an all-families lazy build.
 #include <gtest/gtest.h>
@@ -71,6 +74,24 @@ class AllFamiliesSource final : public imaging::AssetLadderSource {
       const imaging::LadderOptions& options, const imaging::LadderFamilies& /*families*/,
       const obs::RequestContext& ctx) override {
     imaging::VariantLadder ladder(asset, options);
+    ladder.warm(ctx);
+    return std::make_shared<const imaging::VariantMemo>(ladder.snapshot());
+  }
+};
+
+/// The full-depth reference: warms the caller's families 0.15 below the
+/// caller's floor, as deep as HBS ladders were measured before they stopped
+/// at Qt, so every resolution family runs on past the rung that ends the
+/// walk.
+class FullDepthSource final : public imaging::AssetLadderSource {
+ public:
+  std::shared_ptr<const imaging::VariantMemo> acquire(
+      const std::shared_ptr<const imaging::SourceImage>& asset,
+      const imaging::LadderOptions& options, const imaging::LadderFamilies& families,
+      const obs::RequestContext& ctx) override {
+    imaging::LadderOptions deep = options;
+    deep.min_ssim = options.min_ssim - 0.15;
+    imaging::VariantLadder ladder(asset, deep, families);
     ladder.warm(ctx);
     return std::make_shared<const imaging::VariantMemo>(ladder.snapshot());
   }
@@ -154,11 +175,16 @@ Built build(const Aw4aPipeline& pipeline, const web::WebPage& page, unsigned wor
 
 TEST(LadderFamilies, DerivedFromTheStage2Solver) {
   DeveloperConfig config;
+  config.min_image_ssim = 0.85;
   EXPECT_EQ(Aw4aPipeline(config).ladder_families(),
             (imaging::LadderFamilies{.resolution = true, .quality = false}));
+  // HBS reads each resolution family down to its first rung below Qt.
+  EXPECT_EQ(Aw4aPipeline(config).ladder_options().min_ssim, 0.85);
   config.stage2 = Stage2::kGridSearch;
   EXPECT_EQ(Aw4aPipeline(config).ladder_families(),
             (imaging::LadderFamilies{.resolution = false, .quality = true}));
+  // Grid Search scans whole quality families: slack below Qt.
+  EXPECT_EQ(Aw4aPipeline(config).ladder_options().min_ssim, 0.85 - 0.15);
 }
 
 TEST(LadderFamilies, TiersMatchAnAllFamiliesBuildBitForBit) {
@@ -173,6 +199,9 @@ TEST(LadderFamilies, TiersMatchAnAllFamiliesBuildBitForBit) {
       ASSERT_EQ(tier.result.algorithm.find("timeout"), std::string::npos)
           << named.name << ": the reference Grid Search must finish";
     }
+    // HBS ladders stop at Qt; the full-depth reference runs 0.15 past it.
+    FullDepthSource full_depth;
+    const Built deeper = grid ? Built{} : build(pipeline, page, 0, &full_depth);
 
     for (const bool store_on : {false, true}) {
       for (const unsigned workers : {0u, 2u}) {
@@ -189,6 +218,9 @@ TEST(LadderFamilies, TiersMatchAnAllFamiliesBuildBitForBit) {
           EXPECT_LE(derived.work.prepares, reference.work.prepares) << label;
         } else {
           EXPECT_LT(derived.work.encodes, reference.work.encodes) << label;
+          expect_same_tiers(derived.tiers, deeper.tiers, label + " vs full depth");
+          EXPECT_LT(derived.work.encodes, deeper.work.encodes) << label;
+          EXPECT_LT(derived.work.prepares, deeper.work.prepares) << label;
         }
 
         if (!store_on) continue;

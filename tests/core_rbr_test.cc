@@ -4,6 +4,7 @@
 
 #include "core/quality.h"
 #include "dataset/corpus.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace aw4a::core {
@@ -64,6 +65,22 @@ TEST(Rbr, LowerThresholdReachesDeeper) {
     return rank_based_reduce(served, 1, ladders, options).bytes_after;
   };
   EXPECT_LE(floor_bytes(0.8), floor_bytes(0.95));
+}
+
+TEST(Rbr, ThresholdBelowTheLadderFloorIsRejected) {
+  // A ladder floored at 0.9 ends each family at its first rung below 0.9; a
+  // walk at Qt 0.8 would read a truncated family, so RBR refuses it.
+  const web::WebPage page = rich_page();
+  imaging::LadderOptions ladder_options;
+  ladder_options.min_ssim = rbr_ladder_min_ssim(0.9);
+  LadderCache ladders(ladder_options);
+  RbrOptions options;
+  options.quality_threshold = 0.8;
+  web::ServedPage served = web::serve_original(page);
+  EXPECT_THROW((void)rank_based_reduce(served, 1, ladders, options), LogicError);
+  EXPECT_THROW((void)reducibility_ranking(page, ladders, options), LogicError);
+  options.quality_threshold = 0.9;  // at the floor: accepted
+  EXPECT_NO_THROW((void)rank_based_reduce(served, 1, ladders, options));
 }
 
 TEST(Rbr, InfeasibleTargetReported) {

@@ -164,7 +164,11 @@ TEST(UltraLowSolvers, RbrDescendsToPlaceholdersOnlyWhenQtAdmitsThem) {
   web::ServedPage loose = web::serve_original(page);
   RbrOptions low_qt;
   low_qt.quality_threshold = 0.3;
-  const RbrOutcome outcome = rank_based_reduce(loose, impossible, ladders, low_qt);
+  // RBR requires ladders at least as deep as its Qt.
+  imaging::LadderOptions deep_options = options;
+  deep_options.min_ssim = rbr_ladder_min_ssim(low_qt.quality_threshold);
+  LadderCache deep_ladders(deep_options);
+  const RbrOutcome outcome = rank_based_reduce(loose, impossible, deep_ladders, low_qt);
   int placeholders = 0;
   for (const auto& [id, image] : loose.images) {
     if (image.variant.has_value() &&

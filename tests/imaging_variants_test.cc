@@ -89,10 +89,10 @@ TEST(VariantLadder, WebpFullLosslessForPngSources) {
   EXPECT_LT(webp.bytes, asset->wire_bytes);  // and smaller (the whole point)
 }
 
-TEST(VariantLadder, CheapestWithSsimRespectsFloorAndImproves) {
+TEST(VariantLadder, CheapestFullResRespectsFloorAndImproves) {
   VariantLadder ladder(make_asset(ImageClass::kPhoto, 160 * kKB, 7));
-  const auto strict = ladder.cheapest_with_ssim_at_least(0.995);
-  const auto loose = ladder.cheapest_with_ssim_at_least(0.9);
+  const auto strict = ladder.cheapest_fullres_with_ssim_at_least(0.995);
+  const auto loose = ladder.cheapest_fullres_with_ssim_at_least(0.9);
   ASSERT_TRUE(strict.has_value());
   ASSERT_TRUE(loose.has_value());
   EXPECT_GE(strict->ssim, 0.995);
@@ -106,12 +106,15 @@ TEST(VariantLadder, BytesEfficiencyPositiveForReduciblePhotos) {
   EXPECT_GT(ladder.bytes_efficiency(0.9), 0.0);
 }
 
-TEST(VariantLadder, AllVariantsIncludesEnumeratedFamilies) {
+TEST(VariantLadder, SnapshotHoldsEnumeratedFamilies) {
   VariantLadder ladder(make_asset(ImageClass::kPhoto));
   (void)ladder.resolution_family(ImageFormat::kJpeg);
   (void)ladder.webp_full();
-  const auto all = ladder.all_variants();
-  EXPECT_GE(all.size(), 3u);  // original + at least one rung + webp
+  const VariantMemo memo = ladder.snapshot();
+  const auto& jpeg = memo.res_family[static_cast<std::size_t>(ImageFormat::kJpeg)];
+  ASSERT_TRUE(jpeg.has_value());
+  EXPECT_FALSE(jpeg->empty());
+  EXPECT_TRUE(memo.webp_full.has_value());
 }
 
 TEST(VariantLadder, RenderVariantMatchesDimensions) {
@@ -202,13 +205,13 @@ TEST_P(JointEnumerationTest, WarmMatchesPerFamilyLazyAndSingleShotOracle) {
       for (double s = 1.0 - opts.scale_granularity; s >= opts.min_scale - 1e-9;
            s -= opts.scale_granularity) {
         res.push_back(oracle(f, s, asset->ship_quality));
-        if (res.back().ssim < opts.min_ssim) break;
+        if (!meets_ssim(res.back().ssim, opts.min_ssim)) break;
       }
       std::vector<ImageVariant> qual;
       for (const int q : opts.quality_steps) {
         if (f == ImageFormat::kPng || q >= asset->ship_quality) continue;
         qual.push_back(oracle(f, 1.0, q));
-        if (qual.back().ssim < opts.min_ssim) break;
+        if (!meets_ssim(qual.back().ssim, opts.min_ssim)) break;
       }
       ASSERT_TRUE(memo.res_family[static_cast<std::size_t>(f)].has_value()) << what;
       ASSERT_TRUE(memo.qual_family[static_cast<std::size_t>(f)].has_value()) << what;
@@ -315,6 +318,50 @@ TEST_P(JointEnumerationTest, FamilySetsMeasureOnlyTheirFamiliesBitForBit) {
   }
 }
 
+TEST_P(JointEnumerationTest, FamilyUnderAFloorIsTheFullFamilysPrefix) {
+  // A family under floor f is the floor-free family's prefix through its
+  // first rung failing meets_ssim(·, f), kept as the sentinel. A floor set
+  // a hair (less than the predicate's 1e-12) above a measured rung must not
+  // end the family there: that rung passes every reader at Qt = f.
+  for (const auto& [name, asset] : joint_sources()) {
+    LadderOptions full_opts = options();
+    full_opts.min_ssim = 0.0;
+    VariantLadder full(asset, full_opts);
+    for (const ImageFormat f : {asset->format, ImageFormat::kWebp}) {
+      const std::vector<ImageVariant> family = full.resolution_family(f);
+      ASSERT_GE(family.size(), 3u) << name;
+      // The lowest-SSIM rung short of the last: every rung above it clears a
+      // floor at its SSIM, so only the predicate decides whether it ends the
+      // family.
+      const auto hair_it =
+          std::min_element(family.begin(), family.end() - 1,
+                           [](const ImageVariant& a, const ImageVariant& b) {
+                             return a.ssim < b.ssim;
+                           });
+      const auto hair_rung = static_cast<std::size_t>(hair_it - family.begin());
+      const double hair = hair_it->ssim;
+      for (const double floor : {0.8, 0.9, hair, hair + 5e-13}) {
+        const bool at_hair = floor >= hair && floor < hair + 1e-12;
+        const std::string what = name + " " + to_string(f) + " floor " + std::to_string(floor);
+        std::vector<ImageVariant> want;
+        for (const ImageVariant& v : family) {
+          want.push_back(v);
+          if (!meets_ssim(v.ssim, floor)) break;
+        }
+        LadderOptions opts = options();
+        opts.min_ssim = floor;
+        VariantLadder floored(asset, opts);
+        const std::vector<ImageVariant>& got = floored.resolution_family(f);
+        expect_same_variants(got, want, what);
+        if (at_hair) {
+          ASSERT_TRUE(meets_ssim(hair, floor)) << what;
+          EXPECT_GT(got.size(), hair_rung + 1) << what << ": the hair rung ended the family";
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, JointEnumerationTest,
                          ::testing::Values(EntropyBackend::kHuffman, EntropyBackend::kRans),
                          [](const auto& info) { return std::string(to_string(info.param)); });
@@ -339,9 +386,10 @@ class LadderClassTest : public ::testing::TestWithParam<ImageClass> {};
 
 TEST_P(LadderClassTest, EveryClassYieldsAWorkingLadder) {
   VariantLadder ladder(make_asset(GetParam(), 80 * kKB, 21));
-  const auto v = ladder.cheapest_with_ssim_at_least(0.9);
+  const auto v = ladder.cheapest_fullres_with_ssim_at_least(0.9);
   ASSERT_TRUE(v.has_value());
   EXPECT_GE(v->ssim, 0.9);
+  EXPECT_FALSE(ladder.resolution_family(ladder.asset().format).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClasses, LadderClassTest, ::testing::ValuesIn(kAllImageClasses),
